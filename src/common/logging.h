@@ -41,6 +41,23 @@ class LogStream {
   std::ostringstream out_;
 };
 
-#define CMH_LOG(level, tag) ::cmh::LogStream(::cmh::LogLevel::level, (tag))
+namespace detail {
+/// Turns a finished stream expression into void so it can be the second
+/// arm of CMH_LOG's conditional.  `&` binds looser than `<<`, so the whole
+/// `<<` chain is evaluated first.
+struct LogVoidify {
+  void operator&(const LogStream& /*stream*/) const {}
+};
+}  // namespace detail
+
+/// The level is checked before the LogStream (and its ostringstream) is
+/// built, so a disabled statement costs one relaxed load and evaluates
+/// none of its `<<` operands.  The expression form is a single statement,
+/// safe as the body of an unbraced if/else.
+#define CMH_LOG(level, tag)                                 \
+  (::cmh::LogLevel::level < ::cmh::log_level())             \
+      ? (void)0                                             \
+      : ::cmh::detail::LogVoidify() &                       \
+            ::cmh::LogStream(::cmh::LogLevel::level, (tag))
 
 }  // namespace cmh

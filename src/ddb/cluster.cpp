@@ -1,7 +1,9 @@
 #include "ddb/cluster.h"
 
+#include <algorithm>
 #include <deque>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace cmh::ddb {
 
@@ -22,14 +24,15 @@ Cluster::Cluster(ClusterConfig config)
         });
     controller->set_grant_callback(
         [this](TransactionId txn, ResourceId resource) {
-          const auto it = txns_.find(txn);
-          if (it != txns_.end()) it->second.granted.insert(resource);
+          if (txn.value() < txns_.size()) {
+            txns_[txn.value()].granted.insert(resource);
+          }
           if (grant_listener_) grant_listener_(txn, resource);
         });
     controller->set_abort_callback([this, site](TransactionId txn) {
-      const auto it = txns_.find(txn);
-      if (it != txns_.end() && it->second.home == site) {
-        it->second.status = TxnStatus::kAborted;
+      if (txn.value() < txns_.size() && txns_[txn.value()].home == site) {
+        txns_[txn.value()].status = TxnStatus::kAborted;
+        active_.erase(txn);
         if (abort_listener_) abort_listener_(txn);
       }
     });
@@ -54,18 +57,23 @@ TransactionId Cluster::begin(SiteId home) {
   if (home.value() >= config_.n_sites) {
     throw std::out_of_range("Cluster::begin: bad home site");
   }
-  const TransactionId txn{next_txn_++};
-  txns_.emplace(txn, TxnState{home, TxnStatus::kActive, {}, {}});
+  const TransactionId txn{static_cast<std::uint32_t>(txns_.size())};
+  txns_.push_back(TxnState{home, TxnStatus::kActive, {}, {}});
+  active_.insert(txn);
   return txn;
 }
 
 void Cluster::lock(TransactionId txn, ResourceId resource, LockMode mode) {
-  auto& state = txns_.at(txn);
+  TxnState& state = txn_state(txn);
   if (state.status != TxnStatus::kActive) {
     throw std::logic_error("Cluster::lock: transaction not active");
   }
-  auto [it, inserted] = state.requested.emplace(resource, mode);
-  if (!inserted && mode == LockMode::kWrite && it->second == LockMode::kRead) {
+  const auto it =
+      std::find_if(state.requested.begin(), state.requested.end(),
+                   [&](const auto& req) { return req.first == resource; });
+  if (it == state.requested.end()) {
+    state.requested.emplace_back(resource, mode);
+  } else if (mode == LockMode::kWrite && it->second == LockMode::kRead) {
     // Upgrade: not granted again until the write lock is actually held.
     it->second = mode;
     state.granted.erase(resource);
@@ -74,14 +82,15 @@ void Cluster::lock(TransactionId txn, ResourceId resource, LockMode mode) {
 }
 
 void Cluster::finish(TransactionId txn) {
-  auto& state = txns_.at(txn);
+  TxnState& state = txn_state(txn);
   if (state.status != TxnStatus::kActive) return;
   state.status = TxnStatus::kCommitted;
+  active_.erase(txn);
   controller(state.home).finish(txn);
 }
 
 void Cluster::abort(TransactionId txn) {
-  auto& state = txns_.at(txn);
+  TxnState& state = txn_state(txn);
   if (state.status != TxnStatus::kActive) return;
   // The controller's abort broadcast triggers the home-site abort callback,
   // which flips the status and notifies the listener.
@@ -89,20 +98,20 @@ void Cluster::abort(TransactionId txn) {
 }
 
 TxnStatus Cluster::status(TransactionId txn) const {
-  return txns_.at(txn).status;
+  return txn_state(txn).status;
 }
 
 bool Cluster::granted(TransactionId txn, ResourceId resource) const {
-  return txns_.at(txn).granted.contains(resource);
+  return txn_state(txn).granted.contains(resource);
 }
 
 bool Cluster::all_granted(TransactionId txn) const {
-  const auto& state = txns_.at(txn);
+  const TxnState& state = txn_state(txn);
   return state.granted.size() == state.requested.size();
 }
 
 SiteId Cluster::home_of(TransactionId txn) const {
-  return txns_.at(txn).home;
+  return txn_state(txn).home;
 }
 
 std::vector<TransactionId> Cluster::oracle_deadlocked() const {
@@ -122,8 +131,8 @@ std::vector<TransactionId> Cluster::oracle_deadlocked() const {
       nodes.insert(b);
     }
   }
-  for (const auto& [txn, state] : txns_) {
-    if (state.status != TxnStatus::kActive) continue;
+  for (const TransactionId txn : active_) {
+    const TxnState& state = txn_state(txn);
     for (const auto& [resource, mode] : state.requested) {
       if (state.granted.contains(resource)) continue;
       const auto& owner = *controllers_.at(owner_of(resource).value());

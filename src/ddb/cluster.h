@@ -10,12 +10,12 @@
 //   if (db.aborted(t)) { /* deadlock victim */ }
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
+#include "common/flat_set.h"
 #include "ddb/controller.h"
 #include "sim/simulator.h"
 
@@ -119,18 +119,34 @@ class Cluster {
   // computation"): remote agents acquire on its behalf.  All lock requests
   // therefore originate from the home agent; the holding agents' dependence
   // on the home is the release-wait edge (see controller.h).
+  //
+  // One TxnState is kept per transaction ever begun (status() and friends
+  // stay answerable), so it is kept small: a transaction locks a handful of
+  // resources.
   struct TxnState {
     SiteId home;
     TxnStatus status{TxnStatus::kActive};
-    std::map<ResourceId, LockMode> requested;
-    std::set<ResourceId> granted;
+    /// Strongest mode requested per resource.
+    std::vector<std::pair<ResourceId, LockMode>> requested;
+    FlatSet<ResourceId, 4> granted;
   };
+
+  /// The state of a transaction begun here; throws std::out_of_range else.
+  [[nodiscard]] TxnState& txn_state(TransactionId txn) {
+    return txns_.at(txn.value());
+  }
+  [[nodiscard]] const TxnState& txn_state(TransactionId txn) const {
+    return txns_.at(txn.value());
+  }
 
   ClusterConfig config_;
   sim::Simulator sim_;
   std::vector<std::unique_ptr<Controller>> controllers_;
-  std::unordered_map<TransactionId, TxnState> txns_;
-  std::uint32_t next_txn_{0};
+  // Indexed by transaction id: begin() hands out dense ids from 0.
+  std::vector<TxnState> txns_;
+  // Transactions with status kActive; the oracle walks only these, so its
+  // cost does not grow with the number of transactions ever begun.
+  std::unordered_set<TransactionId> active_;
   std::vector<DdbDetection> detections_;
   GrantListener grant_listener_;
   AbortListener abort_listener_;

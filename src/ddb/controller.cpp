@@ -1,7 +1,6 @@
 #include "ddb/controller.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/logging.h"
 
@@ -66,11 +65,7 @@ void Controller::finish(TransactionId txn) {
   // The transaction may hold locks at any site it executed at; broadcast
   // the release (a real system would piggyback a participant list, but the
   // paper's model does not provide one).
-  for (std::uint32_t s = 0; s < n_sites_; ++s) {
-    if (SiteId{s} == id_) continue;
-    ++stats_.purges_sent;
-    send_(SiteId{s}, encode(PurgeTxnMsg{txn, /*aborted=*/false}));
-  }
+  broadcast_purge(PurgeTxnMsg{txn, /*aborted=*/false});
 }
 
 void Controller::abort(TransactionId txn) {
@@ -80,14 +75,18 @@ void Controller::abort(TransactionId txn) {
   pending_remote_.erase(txn);
   remote_holdings_.erase(txn);
   own_comp_seq_.erase(txn);
-  for (auto& [tag, comp] : computations_) comp.labelled.erase(txn);
   if (on_abort_) on_abort_(txn);
   // The victim may hold state at any site (it can be another site's home
   // transaction caught on our cycle); broadcast the purge.
+  broadcast_purge(PurgeTxnMsg{txn, /*aborted=*/true});
+}
+
+void Controller::broadcast_purge(const PurgeTxnMsg& msg) {
+  const Bytes frame = encode(msg);  // one encoding, sent to every site
   for (std::uint32_t s = 0; s < n_sites_; ++s) {
     if (SiteId{s} == id_) continue;
     ++stats_.purges_sent;
-    send_(SiteId{s}, encode(PurgeTxnMsg{txn, /*aborted=*/true}));
+    send_(SiteId{s}, frame);
   }
 }
 
@@ -159,7 +158,6 @@ void Controller::handle_purge(SiteId /*from*/, const PurgeTxnMsg& msg) {
   pending_remote_.erase(msg.txn);
   remote_holdings_.erase(msg.txn);
   own_comp_seq_.erase(msg.txn);
-  for (auto& [tag, comp] : computations_) comp.labelled.erase(msg.txn);
   if (msg.aborted && on_abort_) on_abort_(msg.txn);
 }
 
@@ -189,8 +187,7 @@ void Controller::dispatch_grants(
 // ---- detection ----------------------------------------------------------------
 
 bool Controller::blocked(TransactionId txn) const {
-  if (pending_remote_.contains(txn)) return true;
-  return !locks_.queued_for(txn).empty();
+  return pending_remote_.contains(txn) || locks_.has_queued(txn);
 }
 
 std::vector<TransactionId> Controller::incoming_black_processes() const {
@@ -221,18 +218,18 @@ std::vector<SiteId> Controller::pending_remote_sites(TransactionId txn) const {
 
 std::set<TransactionId> Controller::intra_reachable(TransactionId txn,
                                                     bool* local_cycle) const {
-  std::unordered_map<TransactionId, std::vector<TransactionId>> adj;
-  for (const auto& [w, b] : locks_.wait_edges()) adj[w].push_back(b);
-
+  // Graph search over the lock manager's per-transaction wait targets: each
+  // step touches only the queues of the transaction being expanded.
   std::set<TransactionId> seen{txn};
   bool cycle = false;
-  std::deque<TransactionId> frontier{txn};
+  std::vector<TransactionId> frontier{txn};
+  std::vector<TransactionId> targets;
   while (!frontier.empty()) {
-    const TransactionId u = frontier.front();
-    frontier.pop_front();
-    const auto it = adj.find(u);
-    if (it == adj.end()) continue;
-    for (const TransactionId v : it->second) {
+    const TransactionId u = frontier.back();
+    frontier.pop_back();
+    targets.clear();
+    locks_.wait_targets(u, targets);
+    for (const TransactionId v : targets) {
       if (v == txn) cycle = true;
       if (seen.insert(v).second) frontier.push_back(v);
     }
@@ -254,7 +251,7 @@ std::optional<DdbProbeTag> Controller::initiate_for(TransactionId txn) {
   if (!blocked(txn)) return std::nullopt;
 
   bool local_cycle = false;
-  auto labelled = intra_reachable(txn, &local_cycle);
+  const std::set<TransactionId> reachable = intra_reachable(txn, &local_cycle);
   const DdbProbeTag tag{id_, ++next_sequence_};
   if (local_cycle) {
     // Step A0: black cycle of intra-controller edges, no probes needed.
@@ -267,12 +264,11 @@ std::optional<DdbProbeTag> Controller::initiate_for(TransactionId txn) {
   own_comp_seq_[txn] = tag.sequence;
   Computation& comp = computations_[tag];
   comp.target = txn;
-  comp.labelled = labelled;
   CMH_LOG(kDebug, "ddb") << id_ << " initiates " << tag << " for " << txn;
   // The target's own release-wait edges are suppressed here for the same
   // reason as in handle_probe; cycles genuinely passing through the
   // target's holdings are entered via another transaction's intra wait.
-  send_probes(tag, current_floor(), comp, labelled, txn);
+  send_probes(tag, current_floor(), comp, reachable, txn);
   return tag;
 }
 
@@ -374,10 +370,11 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   auto& floor = floor_seen_[msg.tag.initiator];
   if (msg.floor > floor) {
     floor = msg.floor;
-    std::erase_if(computations_, [&](const auto& kv) {
-      return kv.first.initiator == msg.tag.initiator &&
-             kv.first.sequence < msg.floor;
-    });
+    // computations_ is ordered by (initiator, sequence): the initiator's
+    // computations below the new floor form one contiguous range.
+    computations_.erase(
+        computations_.lower_bound(DdbProbeTag{msg.tag.initiator, 0}),
+        computations_.lower_bound(DdbProbeTag{msg.tag.initiator, floor}));
   }
   if (msg.tag.sequence < floor) return;
 
@@ -392,8 +389,9 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
   bool black = false;
   if (msg.via_release_wait) {
     // The sender holds for (txn, here); the holding persists at least as
-    // long as txn is blocked here (it cannot commit while blocked, and
-    // aborts purge labels anyway), so "blocked here" certifies the edge.
+    // long as txn is blocked here (it cannot commit while blocked, and an
+    // abort's purge reaches this site too), so "blocked here" certifies the
+    // edge.
     black = blocked(txn);
   } else {
     // Acquisition edge: still-queued forwarded request from the probe's
@@ -417,15 +415,13 @@ void Controller::handle_probe(SiteId from, const DdbProbeMsg& msg) {
 
   // Steps A1/A2: label (txn, here) and everything intra-reachable.
   //
-  // Decisions below use the *fresh* reachable set only, not the
-  // accumulated labels.  Labels from an earlier receipt may be stale -- the
-  // intra paths that justified them can legally dissolve once the probe
-  // chain's pin (the G2/G5 target-has-outgoing-edge argument) has moved
-  // past this site -- and acting on them would declare wait chains that
-  // never coexisted (a false deadlock).  The accumulated label set is kept
-  // as the computation's record and for the per-edge probe dedup.
+  // The labels are recomputed on every receipt and never accumulated.
+  // Labels from an earlier receipt may be stale -- the intra paths that
+  // justified them can legally dissolve once the probe chain's pin (the
+  // G2/G5 target-has-outgoing-edge argument) has moved past this site --
+  // and acting on them would declare wait chains that never coexisted (a
+  // false deadlock).  The per-edge probe dedup is comp.probes_sent.
   const std::set<TransactionId> fresh = intra_reachable(txn);
-  for (const TransactionId t : fresh) comp.labelled.insert(t);
 
   if (msg.tag.initiator == id_ && comp.target &&
       fresh.contains(*comp.target)) {
@@ -529,9 +525,6 @@ void Controller::mix_state_hash(std::uint64_t& h) const {
   for (const auto& [tag, comp] : computations_) {
     mix(tag.initiator.value());
     mix(tag.sequence);
-    mix(comp.floor);
-    for (const TransactionId t : comp.labelled) mix(t.value());
-    mix(0xC6);
     for (const InterEdge& e : comp.probes_sent) {
       mix_agent(e.from);
       mix_agent(e.to);

@@ -168,8 +168,6 @@ class Controller {
 
  private:
   struct Computation {
-    std::uint64_t floor{0};
-    std::set<TransactionId> labelled;
     std::set<InterEdge> probes_sent;
     /// For computations this controller initiated: the process it is
     /// checking (the (T_i, S_j) of A0/A1).
@@ -213,6 +211,9 @@ class Controller {
                    const std::set<TransactionId>& processes,
                    std::optional<TransactionId> skip_release_wait_for =
                        std::nullopt);
+
+  /// Sends `msg` to every other site.
+  void broadcast_purge(const PurgeTxnMsg& msg);
 
   void declare(TransactionId victim, const DdbProbeTag& tag);
   void schedule_block_check(TransactionId txn);

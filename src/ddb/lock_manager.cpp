@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/flat_set.h"
-
 namespace cmh::ddb {
 
 bool LockManager::grantable(const ResourceState& rs, const LockRequest& req,
@@ -36,19 +34,23 @@ AcquireResult LockManager::acquire(ResourceId resource, TransactionId txn,
       return AcquireResult::kGranted;
     }
     rs.queue.push_back(LockRequest{txn, mode, origin});
+    by_txn_[txn].queued.insert(resource);
     return AcquireResult::kQueued;
   }
 
   const LockRequest req{txn, mode, origin};
   if (grantable(rs, req, rs.queue.size())) {
     rs.holders.emplace(txn, Holding{mode, origin});
+    by_txn_[txn].held.insert(resource);
     return AcquireResult::kGranted;
   }
   rs.queue.push_back(req);
+  by_txn_[txn].queued.insert(resource);
   return AcquireResult::kQueued;
 }
 
-std::vector<LockRequest> LockManager::grant_eligible(ResourceState& rs) {
+std::vector<LockRequest> LockManager::grant_eligible(ResourceId resource,
+                                                     ResourceState& rs) {
   std::vector<LockRequest> granted;
   bool progressed = true;
   while (progressed) {
@@ -61,6 +63,13 @@ std::vector<LockRequest> LockManager::grant_eligible(ResourceState& rs) {
           rs.holders.emplace(req.txn, Holding{req.mode, req.origin});
       if (!inserted && req.mode == LockMode::kWrite) {
         it->second.mode = LockMode::kWrite;  // queued upgrade completes
+      }
+      // The entry stays non-empty: req.txn now holds `resource`.
+      TxnIndex& index = by_txn_[req.txn];
+      index.held.insert(resource);
+      if (std::none_of(rs.queue.begin(), rs.queue.end(),
+                       [&](const LockRequest& r) { return r.txn == req.txn; })) {
+        index.queued.erase(resource);
       }
       granted.push_back(req);
       progressed = true;
@@ -76,15 +85,27 @@ std::vector<LockRequest> LockManager::release(ResourceId resource,
   if (it == resources_.end()) return {};
   ResourceState& rs = it->second;
   if (rs.holders.erase(txn) == 0) return {};
-  auto granted = grant_eligible(rs);
+  const auto index = by_txn_.find(txn);
+  if (index != by_txn_.end()) {
+    index->second.held.erase(resource);
+    if (index->second.held.empty() && index->second.queued.empty()) {
+      by_txn_.erase(index);
+    }
+  }
+  auto granted = grant_eligible(resource, rs);
   if (rs.holders.empty() && rs.queue.empty()) resources_.erase(it);
   return granted;
 }
 
 std::vector<std::pair<ResourceId, LockRequest>> LockManager::abort(
     TransactionId txn) {
+  // Nothing held or queued: no resource changes (resources_ holds no empty
+  // entries), so the walk below would be a no-op.
+  if (by_txn_.erase(txn) == 0) return {};
   std::vector<std::pair<ResourceId, LockRequest>> granted;
   std::vector<ResourceId> empty;
+  // Walk every resource rather than txn's index: the walk order is the
+  // order of the returned grants, which callers turn into messages.
   for (auto& [resource, rs] : resources_) {
     const bool held = rs.holders.erase(txn) > 0;
     const auto old_size = rs.queue.size();
@@ -94,7 +115,7 @@ std::vector<std::pair<ResourceId, LockRequest>> LockManager::abort(
                                   }),
                    rs.queue.end());
     if (held || rs.queue.size() != old_size) {
-      for (LockRequest& g : grant_eligible(rs)) {
+      for (LockRequest& g : grant_eligible(resource, rs)) {
         granted.emplace_back(resource, std::move(g));
       }
     }
@@ -126,12 +147,50 @@ bool LockManager::waiting(ResourceId resource, TransactionId txn) const {
 }
 
 std::vector<ResourceId> LockManager::held_by(TransactionId txn) const {
-  std::vector<ResourceId> result;
-  for (const auto& [resource, rs] : resources_) {
-    if (rs.holders.contains(txn)) result.push_back(resource);
+  const auto it = by_txn_.find(txn);
+  if (it == by_txn_.end()) return {};
+  return {it->second.held.begin(), it->second.held.end()};
+}
+
+bool LockManager::has_queued(TransactionId txn) const {
+  const auto it = by_txn_.find(txn);
+  return it != by_txn_.end() && !it->second.queued.empty();
+}
+
+namespace {
+/// Calls fn(blocker) for every transaction the request at queue position
+/// `pos` waits for: conflicting holders and conflicting earlier requests.
+template <typename State, typename Fn>
+void for_each_blocker(const State& rs, std::size_t pos, Fn&& fn) {
+  const LockRequest& w = rs.queue[pos];
+  for (const auto& [holder, holding] : rs.holders) {
+    if (holder != w.txn && conflicts(holding.mode, w.mode)) fn(holder);
   }
-  std::sort(result.begin(), result.end());
-  return result;
+  for (std::size_t j = 0; j < pos; ++j) {
+    const LockRequest& ahead = rs.queue[j];
+    if (ahead.txn != w.txn && conflicts(ahead.mode, w.mode)) fn(ahead.txn);
+  }
+}
+}  // namespace
+
+template <typename Fn>
+void LockManager::for_each_queued(TransactionId txn, Fn&& fn) const {
+  const auto it = by_txn_.find(txn);
+  if (it == by_txn_.end()) return;
+  for (const ResourceId r : it->second.queued) {
+    const ResourceState& rs = resources_.at(r);
+    for (std::size_t i = 0; i < rs.queue.size(); ++i) {
+      if (rs.queue[i].txn == txn) fn(r, rs, i);
+    }
+  }
+}
+
+void LockManager::wait_targets(TransactionId txn,
+                               std::vector<TransactionId>& out) const {
+  for_each_queued(txn, [&](ResourceId, const ResourceState& rs,
+                           std::size_t pos) {
+    for_each_blocker(rs, pos, [&](TransactionId b) { out.push_back(b); });
+  });
 }
 
 std::vector<std::pair<TransactionId, TransactionId>> LockManager::wait_edges()
@@ -139,18 +198,10 @@ std::vector<std::pair<TransactionId, TransactionId>> LockManager::wait_edges()
   std::vector<std::pair<TransactionId, TransactionId>> edges;
   for (const auto& [resource, rs] : resources_) {
     for (std::size_t i = 0; i < rs.queue.size(); ++i) {
-      const LockRequest& w = rs.queue[i];
-      for (const auto& [holder, holding] : rs.holders) {
-        if (holder != w.txn && conflicts(holding.mode, w.mode)) {
-          edges.emplace_back(w.txn, holder);
-        }
-      }
-      for (std::size_t j = 0; j < i; ++j) {
-        const LockRequest& ahead = rs.queue[j];
-        if (ahead.txn != w.txn && conflicts(ahead.mode, w.mode)) {
-          edges.emplace_back(w.txn, ahead.txn);
-        }
-      }
+      const TransactionId waiter = rs.queue[i].txn;
+      for_each_blocker(rs, i, [&](TransactionId b) {
+        edges.emplace_back(waiter, b);
+      });
     }
   }
   std::sort(edges.begin(), edges.end());
@@ -159,12 +210,13 @@ std::vector<std::pair<TransactionId, TransactionId>> LockManager::wait_edges()
 }
 
 std::vector<SiteId> LockManager::holding_origins(TransactionId txn) const {
+  const auto it = by_txn_.find(txn);
+  if (it == by_txn_.end()) return {};
   // Sorted flat set: the origin count is tiny (bounded by the site count a
   // transaction touched), so contiguous storage beats a node-based set.
   FlatSet<SiteId, 8> origins;
-  for (const auto& [resource, rs] : resources_) {
-    const auto it = rs.holders.find(txn);
-    if (it != rs.holders.end()) origins.insert(it->second.origin);
+  for (const ResourceId r : it->second.held) {
+    origins.insert(resources_.at(r).holders.at(txn).origin);
   }
   return {origins.begin(), origins.end()};
 }
@@ -172,11 +224,10 @@ std::vector<SiteId> LockManager::holding_origins(TransactionId txn) const {
 std::vector<std::pair<ResourceId, LockRequest>> LockManager::queued_for(
     TransactionId txn) const {
   std::vector<std::pair<ResourceId, LockRequest>> result;
-  for (const auto& [resource, rs] : resources_) {
-    for (const LockRequest& r : rs.queue) {
-      if (r.txn == txn) result.emplace_back(resource, r);
-    }
-  }
+  for_each_queued(txn, [&](ResourceId r, const ResourceState& rs,
+                           std::size_t pos) {
+    result.emplace_back(r, rs.queue[pos]);
+  });
   return result;
 }
 

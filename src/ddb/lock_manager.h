@@ -10,6 +10,12 @@
 // The manager also derives the local waits-for relation used for the
 // intra-controller edges of section 6.4: a blocked request waits for every
 // conflicting holder and every conflicting earlier waiter.
+//
+// A per-transaction index (resources queued on, resources held) is kept next
+// to the per-resource state, so the per-transaction queries the controller
+// asks on every probe -- is txn queued, whom does it wait for, where do its
+// holdings come from -- touch only that transaction's queues, never the
+// whole resource table.
 #pragma once
 
 #include <deque>
@@ -18,6 +24,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_set.h"
 #include "common/ids.h"
 #include "common/status.h"
 #include "ddb/types.h"
@@ -71,8 +78,16 @@ class LockManager {
                                                   TransactionId txn) const;
   [[nodiscard]] bool waiting(ResourceId resource, TransactionId txn) const;
 
-  /// Resources txn currently holds.
+  /// Resources txn currently holds (sorted).
   [[nodiscard]] std::vector<ResourceId> held_by(TransactionId txn) const;
+
+  /// True iff txn has at least one queued (ungranted) request.
+  [[nodiscard]] bool has_queued(TransactionId txn) const;
+
+  /// Appends the transactions txn waits for -- the targets of its outgoing
+  /// wait_edges() -- to `out`, in no particular order and possibly with
+  /// duplicates.  Touches only the queues txn is on.
+  void wait_targets(TransactionId txn, std::vector<TransactionId>& out) const;
 
   /// Origin sites of txn's local holdings (deduplicated, sorted) -- the
   /// targets of its outgoing release-wait edges.
@@ -83,7 +98,8 @@ class LockManager {
   [[nodiscard]] std::vector<std::pair<TransactionId, TransactionId>>
   wait_edges() const;
 
-  /// Pending (queued) requests for a given transaction, with resources.
+  /// Pending (queued) requests for a given transaction, with resources
+  /// (in no particular order).
   [[nodiscard]] std::vector<std::pair<ResourceId, LockRequest>> queued_for(
       TransactionId txn) const;
 
@@ -121,9 +137,28 @@ class LockManager {
                                       const LockRequest& req, std::size_t pos);
 
   /// Pops every grantable request from the front region of the queue.
-  std::vector<LockRequest> grant_eligible(ResourceState& rs);
+  std::vector<LockRequest> grant_eligible(ResourceId resource,
+                                          ResourceState& rs);
 
+  /// The resources one transaction has a queued request on (possibly
+  /// more than one, e.g. a read then a write) and the resources it holds.
+  /// Inline storage: a transaction touches a handful of resources.
+  struct TxnIndex {
+    FlatSet<ResourceId, 4> queued;
+    FlatSet<ResourceId, 4> held;
+  };
+
+  /// Calls fn(resource, state, pos) for every queue position txn occupies.
+  template <typename Fn>
+  void for_each_queued(TransactionId txn, Fn&& fn) const;
+
+  // Invariant: every entry has a non-empty holder set or queue.  abort()
+  // walks this map in its own iteration order, which fixes the order of
+  // the grants it returns (and so the order grant messages are sent); the
+  // per-transaction index below must therefore never replace that walk.
   std::unordered_map<ResourceId, ResourceState> resources_;
+  // Entries exist exactly for transactions that hold or queue something.
+  std::unordered_map<TransactionId, TxnIndex> by_txn_;
 };
 
 }  // namespace cmh::ddb

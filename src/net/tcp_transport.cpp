@@ -358,8 +358,11 @@ void TcpTransport::start() {
 }
 
 void TcpTransport::stop() {
-  if (!started_.exchange(false)) return;
-  stopping_ = true;
+  if (!started_.load(std::memory_order_acquire)) return;
+  if (stopping_.exchange(true)) return;  // a concurrent stop() owns teardown
+  // Cleared only after stopping_ is published: a sender that sees started_
+  // cleared here is guaranteed to see stopping_ too, and drops its frame.
+  started_.store(false, std::memory_order_release);
 
   // Poison every channel so senders that raced past the stopping_ check
   // drop instead of scheduling work on a dying loop, and queued frames are
@@ -417,10 +420,11 @@ void TcpTransport::close_listener(NodeId node) {
 // ---- send path --------------------------------------------------------------
 
 void TcpTransport::send(NodeId from, NodeId to, BytesView payload) {
-  if (stopping_) return;  // shutting down; drops are acceptable
   if (!started_.load(std::memory_order_acquire)) {
+    if (stopping_) return;  // stopped; drops are acceptable (see stop())
     throw std::logic_error("TcpTransport::send: transport not started");
   }
+  if (stopping_) return;  // shutting down; drops are acceptable
   if (from >= node_index_.size() || to >= node_index_.size()) {
     throw std::out_of_range("TcpTransport::send: unknown node");
   }

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <tuple>
+
+#include "common/rng.h"
+
 namespace cmh::ddb {
 namespace {
 
@@ -244,6 +251,181 @@ TEST(LockManager, QueuedRequestsEnumeratesAll) {
   ASSERT_EQ(lm.acquire(r2, t3, LockMode::kRead, here),
             AcquireResult::kQueued);
   EXPECT_EQ(lm.queued_requests().size(), 2u);
+}
+
+// ---- per-transaction index vs full-scan derivations --------------------------
+
+// Random acquire/release/abort sequences (with read->write upgrades, in
+// place and queued, and repeated requests) on a small resource table.  After
+// every step each per-transaction query is compared with a derivation that
+// walks every resource or the full wait_edges() relation, so the index can
+// never drift from the per-resource state it summarizes.
+class LockIndexProperty {
+ public:
+  static constexpr std::uint32_t kTxns = 5;
+  static constexpr std::uint32_t kResources = 4;
+  static constexpr std::uint32_t kSites = 3;
+
+  explicit LockIndexProperty(std::uint64_t seed) : rng_(seed) {}
+
+  void step() {
+    const TransactionId t{static_cast<std::uint32_t>(rng_.below(kTxns))};
+    const ResourceId r{static_cast<std::uint32_t>(rng_.below(kResources))};
+    const std::uint64_t op = rng_.below(10);
+    if (op < 6) {
+      const LockMode mode =
+          rng_.chance(0.5) ? LockMode::kWrite : LockMode::kRead;
+      const SiteId origin{static_cast<std::uint32_t>(rng_.below(kSites))};
+      const std::optional<LockMode> before = lm_.held_mode(r, t);
+      if (before.has_value() || lm_.waiting(r, t)) ++repeated_;
+      const AcquireResult res = lm_.acquire(r, t, mode, origin);
+      if (before == LockMode::kRead && mode == LockMode::kWrite) {
+        ++(res == AcquireResult::kQueued ? queued_upgrades_
+                                         : in_place_upgrades_);
+      }
+      if (res == AcquireResult::kGranted) on_granted(r, t, origin);
+    } else if (op < 8) {
+      origins_.erase({r, t});
+      for (const LockRequest& g : lm_.release(r, t)) {
+        on_granted(r, g.txn, g.origin);
+      }
+    } else {
+      for (std::uint32_t k = 0; k < kResources; ++k) {
+        origins_.erase({ResourceId{k}, t});
+      }
+      for (const auto& [res, g] : lm_.abort(t)) on_granted(res, g.txn, g.origin);
+    }
+  }
+
+  void check() const {
+    const auto edges = lm_.wait_edges();
+    const auto all_queued = lm_.queued_requests();
+    for (std::uint32_t ti = 0; ti < kTxns; ++ti) {
+      const TransactionId t{ti};
+      SCOPED_TRACE(testing::Message() << "txn " << ti);
+
+      // Walk over every resource.
+      bool queued_anywhere = false;
+      std::vector<ResourceId> held;
+      std::set<SiteId> origins;
+      for (std::uint32_t k = 0; k < kResources; ++k) {
+        const ResourceId r{k};
+        queued_anywhere = queued_anywhere || lm_.waiting(r, t);
+        if (!lm_.holds(r, t)) continue;
+        held.push_back(r);
+        ASSERT_TRUE(origins_.contains({r, t}));
+        origins.insert(origins_.at({r, t}));
+      }
+      EXPECT_EQ(lm_.has_queued(t), queued_anywhere);
+      EXPECT_EQ(lm_.held_by(t), held);
+      EXPECT_EQ(lm_.holding_origins(t),
+                std::vector<SiteId>(origins.begin(), origins.end()));
+
+      // queued_for == the txn's slice of queued_requests(), as multisets.
+      using Entry = std::tuple<ResourceId, LockMode, SiteId>;
+      std::vector<Entry> want;
+      for (const auto& [r, req] : all_queued) {
+        if (req.txn == t) want.emplace_back(r, req.mode, req.origin);
+      }
+      std::vector<Entry> got;
+      for (const auto& [r, req] : lm_.queued_for(t)) {
+        EXPECT_EQ(req.txn, t);
+        got.emplace_back(r, req.mode, req.origin);
+      }
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want);
+
+      // wait_targets == t's out-neighbours in wait_edges().
+      std::set<TransactionId> want_targets;
+      for (const auto& [w, b] : edges) {
+        if (w == t) want_targets.insert(b);
+      }
+      std::vector<TransactionId> targets;
+      lm_.wait_targets(t, targets);
+      EXPECT_EQ(std::set<TransactionId>(targets.begin(), targets.end()),
+                want_targets);
+
+      // Reachability by search over wait_targets == over wait_edges().
+      EXPECT_EQ(reachable(t, [&](TransactionId u,
+                                 std::vector<TransactionId>& out) {
+                  lm_.wait_targets(u, out);
+                }),
+                reachable(t, [&](TransactionId u,
+                                 std::vector<TransactionId>& out) {
+                  for (const auto& [w, b] : edges) {
+                    if (w == u) out.push_back(b);
+                  }
+                }));
+    }
+  }
+
+  std::uint64_t queued_upgrades_{0};
+  std::uint64_t in_place_upgrades_{0};
+  std::uint64_t repeated_{0};
+
+ private:
+  void on_granted(ResourceId r, TransactionId t, SiteId origin) {
+    // A completed upgrade keeps the original acquisition's origin.
+    origins_.emplace(std::pair{r, t}, origin);
+  }
+
+  template <typename Expand>
+  static std::set<TransactionId> reachable(TransactionId from,
+                                           const Expand& expand) {
+    std::set<TransactionId> seen{from};
+    std::vector<TransactionId> frontier{from};
+    std::vector<TransactionId> next;
+    while (!frontier.empty()) {
+      const TransactionId u = frontier.back();
+      frontier.pop_back();
+      next.clear();
+      expand(u, next);
+      for (const TransactionId v : next) {
+        if (seen.insert(v).second) frontier.push_back(v);
+      }
+    }
+    return seen;
+  }
+
+  Rng rng_;
+  LockManager lm_;
+  // Origin of every holding, recorded from the grants the manager reports.
+  std::map<std::pair<ResourceId, TransactionId>, SiteId> origins_;
+};
+
+TEST(LockManagerIndex, MatchesFullScanDerivations) {
+  std::uint64_t queued_upgrades = 0;
+  std::uint64_t in_place_upgrades = 0;
+  std::uint64_t repeated = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    LockIndexProperty p(seed);
+    for (int i = 0; i < 400; ++i) {
+      p.step();
+      p.check();
+      if (testing::Test::HasFailure()) return;
+    }
+    queued_upgrades += p.queued_upgrades_;
+    in_place_upgrades += p.in_place_upgrades_;
+    repeated += p.repeated_;
+  }
+  // The sequences must actually reach the cases the index has to handle.
+  EXPECT_GT(queued_upgrades, 0u);
+  EXPECT_GT(in_place_upgrades, 0u);
+  EXPECT_GT(repeated, 0u);
+}
+
+TEST(LockManagerIndex, AbortOfUnknownTransactionIsANoOp) {
+  LockManager lm;
+  ASSERT_EQ(lm.acquire(r1, t1, LockMode::kWrite, here),
+            AcquireResult::kGranted);
+  EXPECT_TRUE(lm.abort(t2).empty());
+  EXPECT_TRUE(lm.holds(r1, t1));
+  EXPECT_FALSE(lm.has_queued(t2));
+  std::vector<TransactionId> targets;
+  lm.wait_targets(t2, targets);
+  EXPECT_TRUE(targets.empty());
 }
 
 }  // namespace
