@@ -18,6 +18,9 @@ committed and diffed:
 Only real benchmark entries survive the reduction -- aggregates such as
 BigO/RMS rows and machine context (hostname, date, CPU caches) are
 dropped, so the schema stays byte-stable apart from the numbers.
+time_ns and cpu_ns are always nanoseconds: google-benchmark reports each
+row in its own time_unit (a ->Unit(benchmark::kMillisecond) row says
+"ms"), and the reduction converts.
 
 Usage:
     bench/run_benchmarks.py [--build-dir build] [--out-dir .]
@@ -64,6 +67,15 @@ DEFAULT_HOT = [
 ]
 
 
+# google-benchmark time_unit -> nanoseconds.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def to_ns(entry: dict, key: str) -> float:
+    """entry[key] (real_time / cpu_time) in ns, honouring time_unit."""
+    return float(entry[key]) * NS_PER_UNIT[entry.get("time_unit", "ns")]
+
+
 def run_suite(binary: pathlib.Path, min_time: float | None) -> list[dict]:
     cmd = [str(binary), "--benchmark_format=json"]
     if min_time is not None:
@@ -77,8 +89,8 @@ def run_suite(binary: pathlib.Path, min_time: float | None) -> list[dict]:
             continue
         reduced = {
             "name": entry["name"],
-            "time_ns": round(float(entry["real_time"]), 3),
-            "cpu_ns": round(float(entry["cpu_time"]), 3),
+            "time_ns": round(to_ns(entry, "real_time"), 3),
+            "cpu_ns": round(to_ns(entry, "cpu_time"), 3),
             "iterations": int(entry["iterations"]),
         }
         if "items_per_second" in entry:
@@ -105,8 +117,8 @@ def load_times(path: pathlib.Path) -> dict[str, float]:
         # Accept both this schema and raw google-benchmark output.
         if entry.get("run_type", "iteration") != "iteration":
             continue
-        times[entry["name"]] = float(
-            entry.get("time_ns", entry.get("real_time", 0.0)))
+        times[entry["name"]] = (float(entry["time_ns"]) if "time_ns" in entry
+                                else to_ns(entry, "real_time"))
     return times
 
 

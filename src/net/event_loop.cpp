@@ -35,7 +35,10 @@ EventLoop::~EventLoop() {
   ::close(epoll_fd_);
 }
 
-void EventLoop::start() { thread_ = std::thread([this] { run(); }); }
+void EventLoop::start() {
+  thread_ = std::thread([this] { run(); });
+  thread_id_ = thread_.get_id();
+}
 
 void EventLoop::stop() {
   if (stopping_.exchange(true)) {
@@ -66,7 +69,7 @@ bool EventLoop::post(std::function<void()> task) {
 }
 
 bool EventLoop::on_loop_thread() const {
-  return thread_.get_id() == std::this_thread::get_id();
+  return thread_id_ == std::this_thread::get_id();
 }
 
 void EventLoop::add(std::shared_ptr<Pollable> p, std::uint32_t events) {

@@ -79,7 +79,8 @@ class EventLoop {
   /// never hangs.
   bool post(std::function<void()> task);
 
-  /// True when the caller is the loop thread.
+  /// True when the caller is the loop thread.  Safe from any thread after
+  /// start() has returned, even while another thread runs stop().
   [[nodiscard]] bool on_loop_thread() const;
 
   // ---- loop-thread-only registry operations -------------------------------
@@ -102,6 +103,8 @@ class EventLoop {
   int epoll_fd_{-1};
   int wake_fd_{-1};
   std::thread thread_;
+  /// Set once by start(); unlike thread_, which join() resets.
+  std::thread::id thread_id_;
   std::atomic<bool> stopping_{false};
 
   Mutex tasks_mutex_;

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -117,20 +119,26 @@ struct TcpTransport::ListenConn final : Pollable {
   Node& node;
 };
 
-/// One accepted connection: ring-buffered reads, handshake, then frames
-/// into the node's mailbox.  All state is loop-thread confined.
+/// One accepted connection: ring-buffered reads, handshake, then each
+/// frame straight into the node's handler.  It is registered on node.loop,
+/// so every handler call for the node runs on that one thread, in turn.
+/// All state is loop-thread confined.
 struct TcpTransport::InboundConn final : Pollable {
   InboundConn(TcpTransport& transport, Node& node, int fd)
       : Pollable(fd), t(transport), node(node) {}
 
   void on_events(std::uint32_t events) override;
-  /// Slices complete frames out of the ring buffer; false on protocol
-  /// corruption (oversized length prefix, malformed handshake).
+  /// Slices complete frames out of the ring buffer and delivers each one;
+  /// false on protocol corruption (oversized length prefix, malformed
+  /// handshake).
   bool parse();
 
   TcpTransport& t;
   Node& node;
   RecvBuffer buf;
+  /// The handler's `const Bytes&`: one buffer reused for every frame, so
+  /// steady-state receive allocates nothing.
+  Bytes payload;
   bool got_hello{false};
   NodeId peer{0};
 };
@@ -189,7 +197,6 @@ void TcpTransport::InboundConn::on_events(std::uint32_t) {
 
 bool TcpTransport::InboundConn::parse() {
   BytesView frame;
-  std::vector<Bytes> batch;
   while (buf.next_frame(frame)) {
     if (!got_hello) {
       if (frame.size() != sizeof(NodeId)) return false;
@@ -197,11 +204,11 @@ bool TcpTransport::InboundConn::parse() {
       got_hello = true;
       continue;
     }
-    batch.emplace_back(frame.begin(), frame.end());
+    payload.assign(frame.begin(), frame.end());
+    if (node.handler) node.handler(peer, payload);
+    t.frames_delivered_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (buf.corrupt()) return false;
-  if (!batch.empty()) t.deliver_batch(node, peer, std::move(batch));
-  return true;
+  return !buf.corrupt();
 }
 
 void TcpTransport::OutboundConn::on_events(std::uint32_t events) {
@@ -263,7 +270,7 @@ NodeId TcpTransport::add_node(Handler handler) {
 void TcpTransport::set_handler(NodeId node, Handler handler) {
   const MutexLock lock(nodes_mutex_);
   if (started_) {
-    // Deliverer threads read handlers without a lock (frozen-after-start
+    // Loop threads read handlers without a lock (frozen-after-start
     // protocol); replacing one mid-flight would race with delivery.
     throw std::logic_error("TcpTransport: set_handler after start()");
   }
@@ -349,16 +356,23 @@ void TcpTransport::start() {
       raw->loop->add(std::move(listener), EPOLLIN);
     });
   }
-
-  for (auto& node : nodes_) {
-    node->deliverer =
-        std::thread([this, raw = node.get()] { deliverer_loop(*raw); });
-  }
   started_.store(true, std::memory_order_release);
+}
+
+void TcpTransport::refuse_on_loop_thread(const char* what) const {
+  for (const auto& loop : loops_) {
+    if (loop->on_loop_thread()) {
+      throw std::logic_error(
+          std::string("TcpTransport::") + what +
+          ": called on an event-loop thread (from inside a handler), "
+          "which would wait on the loop it is blocking");
+    }
+  }
 }
 
 void TcpTransport::stop() {
   if (!started_.load(std::memory_order_acquire)) return;
+  refuse_on_loop_thread("stop");
   if (stopping_.exchange(true)) return;  // a concurrent stop() owns teardown
   // Cleared only after stopping_ is published: a sender that sees started_
   // cleared here is guaranteed to see stopping_ too, and drops its frame.
@@ -379,21 +393,15 @@ void TcpTransport::stop() {
     }
   }
 
-  // Joins every loop thread; each closes its registered fds on the way
-  // out.  The EventLoop objects stay alive (see loops_ comment).
+  // Joins every loop thread, so no handler runs once this returns; each
+  // loop closes its registered fds on the way out.  The EventLoop objects
+  // stay alive (see loops_ comment).
   for (auto& loop : loops_) loop->stop();
-
-  for (Node* node : node_index_) {
-    // Take the mail mutex before notifying so a deliverer between its
-    // predicate check and wait() cannot miss the wakeup.
-    { const MutexLock lock(node->mail_mutex); }
-    node->mail_cv.notify_all();
-    if (node->deliverer.joinable()) node->deliverer.join();
-  }
 }
 
 void TcpTransport::close_listener(NodeId node) {
   if (!started_.load(std::memory_order_acquire)) return;
+  refuse_on_loop_thread("close_listener");
   Node* raw = node_index_.at(node);
   Mutex done_mutex;
   CondVar done_cv;
@@ -607,39 +615,6 @@ void TcpTransport::fail_channel_locked(Channel& ch) {
   CMH_LOG(kWarn, "tcp") << "channel " << ch.src << "->" << ch.dst
                         << " down; retry in " << ch.backoff.count() << " ms ("
                         << lost << " frame(s) dropped)";
-}
-
-// ---- delivery ---------------------------------------------------------------
-
-void TcpTransport::deliver_batch(Node& node, NodeId from,
-                                 std::vector<Bytes>&& payloads) {
-  {
-    const MutexLock lock(node.mail_mutex);
-    for (auto& payload : payloads) {
-      node.mailbox.emplace_back(from, std::move(payload));
-    }
-  }
-  node.mail_cv.notify_one();
-}
-
-void TcpTransport::deliverer_loop(Node& node) {
-  for (;;) {
-    std::pair<NodeId, Bytes> mail;
-    {
-      const MutexLock lock(node.mail_mutex);
-      node.mail_cv.wait(node.mail_mutex, [&] {
-        // Held by CondVar::wait's contract; the analysis cannot see through
-        // the predicate lambda boundary.
-        node.mail_mutex.assert_held();
-        return stopping_.load() || !node.mailbox.empty();
-      });
-      if (node.mailbox.empty()) return;
-      mail = std::move(node.mailbox.front());
-      node.mailbox.pop_front();
-    }
-    if (node.handler) node.handler(mail.first, mail.second);
-    frames_delivered_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 // ---- introspection ----------------------------------------------------------

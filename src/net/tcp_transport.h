@@ -15,26 +15,29 @@
 //     payloads of up to `max_coalesced_frames` queued frames -- under load
 //     the measured syscalls-per-frame drops well below one.
 //   * The receive side reads into a per-connection ring buffer (one recv()
-//     per readiness, many frames) and slices complete frames out of it
-//     without a per-frame resize().
+//     per readiness, many frames), slices complete frames out of it
+//     without a per-frame resize(), and runs the receiving node's handler
+//     on the spot -- no hand-off to another thread.
 //
 // Connects are non-blocking and complete on the loop; a failed dial puts
 // the channel into capped exponential backoff, and frames sent while the
 // peer is unreachable are counted per channel (dropped_frames()) instead
 // of blocking the caller.
 //
-// Delivered messages still funnel through a per-destination mailbox thread
-// so handlers stay sequential per node (the paper's atomic-step
-// requirement).  The thread-per-connection implementation this replaced
-// survives as BlockingTcpTransport for comparison benchmarks.
+// Node i is owned by loop i mod L: its listener and every connection it
+// accepts are registered there, so its handler always runs on that one
+// thread and never concurrently with itself (the paper's atomic-step
+// requirement).  A cluster therefore costs L threads, whatever its size.
+// The thread-per-connection implementation this replaced survives as
+// BlockingTcpTransport for comparison benchmarks.
 //
 // Capability model (DESIGN.md section 7.2): the node registry is guarded
 // by nodes_mutex_ and frozen at start() (node_index_ is the lock-free
 // post-start snapshot, published by started_); each channel's connection
-// state and write queue are guarded by that channel's own mutex; each
-// node's mailbox by its mail_mutex.  Socket lifecycle (connect completion,
-// teardown, epoll arming) happens only on the owning loop thread, so a
-// sender holding the channel mutex never races fd ownership.
+// state and write queue are guarded by that channel's own mutex.  Socket
+// lifecycle (connect completion, teardown, epoll arming) and every handler
+// call happen only on the owning loop thread, so a sender holding the
+// channel mutex never races fd ownership.
 #pragma once
 
 #include <atomic>
@@ -42,7 +45,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -79,13 +81,16 @@ class TcpTransport final : public Transport {
   TcpTransport& operator=(const TcpTransport&) = delete;
 
   NodeId add_node(Handler handler) override;
-  /// Rejected after start(): deliverer and loop threads read node state
-  /// without a lock, which is only sound while the node set is frozen.
+  /// Rejected after start(): loop threads read the handler without a
+  /// lock, which is only sound while the node set is frozen.
   void set_handler(NodeId node, Handler handler) override;
   /// Enqueue-and-wake; never performs socket I/O on the caller thread.
   /// Throws std::logic_error before start().
   void send(NodeId from, NodeId to, BytesView payload) override;
   void start() override;
+  /// Joins the loop threads, so no handler runs once it returns.  Throws
+  /// std::logic_error on a loop thread (from inside a handler): the loop
+  /// would have to join itself.
   void stop() override;
 
   /// Port the given node listens on (valid after start()).
@@ -100,7 +105,8 @@ class TcpTransport final : public Transport {
 
   /// Fault injection for tests: closes `node`'s listening socket so every
   /// later dial to it fails (simulates a crashed peer).  Blocks until the
-  /// owning loop has executed the close.  No-op before start().
+  /// owning loop has executed the close.  No-op before start().  Throws
+  /// std::logic_error on a loop thread, where that wait could never end.
   void close_listener(NodeId node);
 
  private:
@@ -156,23 +162,16 @@ class TcpTransport final : public Transport {
     /// thread (close_listener's task).
     CMH_GUARDED_BY_PROTOCOL("loop thread only")
     ListenConn* listener{nullptr};
-
-    // Inbound delivery mailbox (serializes handler execution).
-    Mutex mail_mutex;
-    CondVar mail_cv;
-    std::deque<std::pair<NodeId, Bytes>> mailbox CMH_GUARDED_BY(mail_mutex);
-    std::thread deliverer;
   };
 
-  void deliverer_loop(Node& node);
+  /// Throws std::logic_error when the caller is one of loops_' threads.
+  void refuse_on_loop_thread(const char* what) const;
 
   // Loop-thread-only channel lifecycle (each takes ch.mutex internally).
   void connect_channel(Channel& ch);
   void flush_channel(Channel& ch);
   void flush_channel_locked(Channel& ch) CMH_REQUIRES(ch.mutex);
   void fail_channel_locked(Channel& ch) CMH_REQUIRES(ch.mutex);
-  void deliver_batch(Node& node, NodeId from,
-                     std::vector<Bytes>&& payloads);
 
   TcpTransportConfig config_{};
 

@@ -41,9 +41,14 @@ struct TransportIoStats {
 class Transport {
  public:
   /// Invoked once per delivered message.  For threaded transports the
-  /// handler runs on a delivery thread; one handler is never invoked
-  /// concurrently with itself for the same node (per-node serialization),
-  /// which realizes the paper's atomic-step requirement (note under A0-A2).
+  /// handler runs on a transport thread -- a per-node delivery thread, or
+  /// (TcpTransport) the I/O event loop that owns the node; one handler is
+  /// never invoked concurrently with itself for the same node (per-node
+  /// serialization), which realizes the paper's atomic-step requirement
+  /// (note under A0-A2).  The payload reference is valid only for the
+  /// call: copy what must outlive it.  On an event loop a handler that
+  /// blocks stalls every node the loop owns (TcpTransport: node i is on
+  /// loop i mod L), so handlers should not wait on other nodes' progress.
   using Handler = std::function<void(NodeId from, const Bytes& payload)>;
 
   virtual ~Transport() = default;

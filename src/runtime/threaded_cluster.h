@@ -9,9 +9,9 @@
 //
 // Capability model (DESIGN.md section 7.2): Cell::mutex guards the hosted
 // BasicProcess (every touch of the process happens under it, whether from
-// the application thread, a transport deliverer, or a timer callback --
-// LockingTimerService re-takes it around scheduled callbacks); detect_mutex_
-// guards the detection log.  Lock order where they nest: Cell::mutex before
+// the application thread, a transport's delivery thread or event loop, or
+// a timer callback -- LockingTimerService re-takes it around scheduled
+// callbacks); detect_mutex_ guards the detection log.  Lock order where they nest: Cell::mutex before
 // detect_mutex_ (the deadlock callback runs inside on_message).
 #pragma once
 

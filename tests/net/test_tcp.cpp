@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <functional>
+#include <iterator>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -187,7 +191,7 @@ TEST(TcpTransport, AddNodeAfterStartRejected) {
   t.stop();
 }
 
-// Handlers are read by the deliverer threads without a lock, which is only
+// Handlers are read by the loop threads without a lock, which is only
 // sound while the handler set is frozen -- swapping one mid-flight was a
 // data race the thread-safety annotation pass surfaced.
 TEST(TcpTransport, SetHandlerAfterStartRejected) {
@@ -283,6 +287,88 @@ TEST(TcpTransport, BurstsCoalesceFramesIntoFewerSyscalls) {
   EXPECT_LT(s.read_syscalls, s.frames_delivered);
   EXPECT_EQ(s.frames_dropped, 0u);
   t.stop();
+}
+
+// Handlers run on the event loops, so teardown from inside one would wait
+// on the very loop it is blocking: stop() would join its own thread and
+// close_listener() would wait for a task queued behind the handler.  Both
+// refuse with a logic_error instead, and the transport keeps working.
+void expect_refused_from_handler(
+    const std::function<void(TcpTransport&)>& teardown) {
+  TcpTransport t;
+  Mutex mutex;
+  CondVar cv;
+  std::vector<std::string> errors;  // guarded by mutex
+  const NodeId a = t.add_node({});
+  const NodeId b = t.add_node([&](NodeId, const Bytes&) {
+    std::string what = "no exception";
+    try {
+      teardown(t);
+    } catch (const std::logic_error& e) {
+      what = e.what();
+    }
+    const MutexLock lock(mutex);
+    errors.push_back(what);
+    cv.notify_all();
+  });
+  t.start();
+  t.send(a, b, Bytes{1});
+  t.send(a, b, Bytes{2});  // delivered after the refusal: the loop lives on
+  {
+    const MutexLock lock(mutex);
+    ASSERT_TRUE(cv.wait_for(mutex, 5000ms, [&] {
+      mutex.assert_held();  // held by CondVar::wait's contract
+      return errors.size() >= 2;
+    }));
+    for (const auto& what : errors) {
+      EXPECT_NE(what.find("event-loop thread"), std::string::npos) << what;
+    }
+  }
+  t.stop();  // still completes from the test thread
+}
+
+TEST(TcpTransport, StopFromHandlerRefused) {
+  expect_refused_from_handler([](TcpTransport& t) { t.stop(); });
+}
+
+TEST(TcpTransport, CloseListenerFromHandlerRefused) {
+  expect_refused_from_handler([](TcpTransport& t) { t.close_listener(0); });
+}
+
+std::size_t thread_count() {
+  // Sanitizer runtimes start a helper thread along with the process's
+  // first extra thread; spawning one first keeps it out of the deltas.
+  static const bool warmed = [] {
+    std::thread([] {}).join();
+    return true;
+  }();
+  (void)warmed;
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), end(tasks)));
+}
+
+// Loop-affine delivery: a 16-node transport costs its L loop threads and
+// nothing per node, and stop() gives every one of them back.
+TEST(TcpTransport, ThreadCountIsTheLoopCount) {
+  for (const unsigned loops : {1u, 2u, 4u}) {
+    SCOPED_TRACE(loops);
+    const std::size_t baseline = thread_count();
+    TcpTransportConfig config;
+    config.event_loops = loops;
+    TcpTransport t(config);
+    for (int i = 0; i < 16; ++i) t.add_node({});
+    t.start();
+    EXPECT_EQ(thread_count(), baseline + loops);
+    t.stop();
+    // A joined thread can linger in /proc for a moment after join().
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (thread_count() != baseline &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    EXPECT_EQ(thread_count(), baseline);
+  }
 }
 
 }  // namespace

@@ -232,5 +232,68 @@ TYPED_TEST(TransportConformance, HandlerNeverConcurrentWithItself) {
   t.stop();
 }
 
+// Handlers that send: each token is relayed by the handlers themselves
+// along a path that visits every node, so a handler's send() must work
+// from whatever thread the transport runs it on -- including a TCP event
+// loop sending to a node that loop also owns, and a node sending to
+// itself.  Every token must arrive, each hop's channel must stay FIFO, and
+// nothing may hang.
+TYPED_TEST(TransportConformance, HandlersRelayAcrossNodes) {
+  // 0 -> 0 is a self-send; 0 -> 4 stays on one loop when the loop count L
+  // divides 4 (1, 2, 4 -- the default is min(4, cores)), 4 -> 1 when L is
+  // 1 or 3.  The test thread injects on 7 -> 0.
+  const std::vector<NodeId> path = {0, 0, 4, 1, 5, 2, 6, 3, 7};
+  constexpr NodeId kNodes = 8;
+  constexpr std::uint32_t kTokens = 300;
+  TypeParam t;
+  Collector arrived;
+  Mutex mutex;
+  std::map<std::pair<NodeId, NodeId>, std::uint32_t> next_seq;  // by mutex
+  std::atomic<int> fifo_breaks{0};
+  std::atomic<int> misroutes{0};
+
+  for (NodeId self = 0; self < kNodes; ++self) {
+    const NodeId id = t.add_node([&, self](NodeId from, const Bytes& payload) {
+      std::uint32_t seq = 0;
+      std::memcpy(&seq, payload.data(), sizeof(seq));
+      const std::size_t hop = payload[sizeof(seq)];
+      {
+        const MutexLock lock(mutex);
+        std::uint32_t& expected = next_seq[{from, self}];
+        if (seq != expected) fifo_breaks.fetch_add(1);
+        expected = seq + 1;
+      }
+      if (path[hop] != self) misroutes.fetch_add(1);
+      if (hop + 1 == path.size()) {
+        arrived.handler()(from, payload);
+        return;
+      }
+      Bytes next = payload;
+      next[sizeof(seq)] = static_cast<std::uint8_t>(hop + 1);
+      t.send(self, path[hop + 1], next);
+    });
+    ASSERT_EQ(id, self);
+  }
+  t.start();
+
+  for (std::uint32_t seq = 0; seq < kTokens; ++seq) {
+    Bytes token(sizeof(seq) + 1, 0);
+    std::memcpy(token.data(), &seq, sizeof(seq));
+    t.send(kNodes - 1, path[0], token);
+  }
+  ASSERT_TRUE(arrived.wait_for(kTokens));
+  const auto items = arrived.items();
+  ASSERT_EQ(items.size(), kTokens);
+  for (std::uint32_t seq = 0; seq < kTokens; ++seq) {
+    std::uint32_t got = 0;
+    std::memcpy(&got, items[seq].second.data(), sizeof(got));
+    EXPECT_EQ(got, seq) << "end-to-end order";
+    EXPECT_EQ(items[seq].first, path[path.size() - 2]);
+  }
+  EXPECT_EQ(fifo_breaks.load(), 0);
+  EXPECT_EQ(misroutes.load(), 0);
+  t.stop();
+}
+
 }  // namespace
 }  // namespace cmh::net

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <thread>
+
 #include "net/inmemory_transport.h"
 #include "net/tcp_transport.h"
 
@@ -136,6 +141,41 @@ TEST(ThreadedCluster, StopIsIdempotentAndJoins) {
   cluster.stop();
   cluster.stop();
   SUCCEED();
+}
+
+std::size_t thread_count() {
+  // Sanitizer runtimes start a helper thread along with the process's
+  // first extra thread; spawning one first keeps it out of the deltas.
+  static const bool warmed = [] {
+    std::thread([] {}).join();
+    return true;
+  }();
+  (void)warmed;
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), end(tasks)));
+}
+
+// Over TcpTransport a cluster of any size costs the transport's L loop
+// threads plus the timer thread, and stop() gives all of them back.
+TEST(ThreadedCluster, TcpThreadCountIsLoopsPlusOne) {
+  constexpr unsigned kLoops = 2;
+  const std::size_t baseline = thread_count();
+  {
+    net::TcpTransportConfig config;
+    config.event_loops = kLoops;
+    net::TcpTransport transport(config);
+    ThreadedCluster cluster(transport, 16, core::Options{});
+    EXPECT_EQ(thread_count(), baseline + kLoops + 1);
+    cluster.stop();
+  }
+  // A joined thread can linger in /proc for a moment after join().
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (thread_count() != baseline &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(thread_count(), baseline);
 }
 
 }  // namespace
