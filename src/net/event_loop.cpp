@@ -4,9 +4,11 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace cmh::net {
@@ -164,6 +166,38 @@ void EventLoop::run() {
     tasks.swap(tasks_);
   }
   for (auto& task : tasks) task();
+}
+
+// ---- EventLoopPool ----------------------------------------------------------
+
+EventLoopPool::EventLoopPool(unsigned size) {
+  if (size == 0) size = default_size();
+  for (unsigned i = 0; i < size; ++i) {
+    loops_.push_back(std::make_unique<EventLoop>());
+  }
+}
+
+unsigned EventLoopPool::default_size() {
+  return std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
+}
+
+void EventLoopPool::start() {
+  for (auto& loop : loops_) loop->start();
+}
+
+void EventLoopPool::stop() {
+  for (auto& loop : loops_) loop->stop();
+}
+
+void EventLoopPool::refuse_on_loop_thread(const char* what) const {
+  for (const auto& loop : loops_) {
+    if (loop->on_loop_thread()) {
+      throw std::logic_error(
+          std::string(what) +
+          ": called on an event-loop thread (from inside a handler), "
+          "which would wait on the loop it is blocking");
+    }
+  }
 }
 
 }  // namespace cmh::net

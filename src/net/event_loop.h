@@ -1,4 +1,4 @@
-// Epoll event loop: the reactor under the TCP transport.
+// Epoll event loop: the reactor under the threaded transports.
 //
 // One EventLoop owns one epoll instance and one thread.  File descriptors
 // are wrapped in Pollable objects; readiness events and every registry
@@ -13,9 +13,14 @@
 // an event fetched into the same epoll_wait batch as the destroy still
 // finds a live object and sees its `closed` flag.
 //
+// EventLoopPool is the pool policy both threaded transports share: how
+// many loops run by default, which loop owns a node, and the refusal to
+// wait on a loop from one of its own threads.
+//
 // Capability model (DESIGN.md section 7.2): tasks_mutex_ guards the posted
 // task queue (the only cross-thread state); everything else is loop-thread
-// confined and documented with CMH_GUARDED_BY_PROTOCOL.
+// confined and documented with CMH_GUARDED_BY_PROTOCOL.  A pool's loop set
+// is fixed at construction.
 #pragma once
 
 #include <atomic>
@@ -115,6 +120,39 @@ class EventLoop {
   std::vector<std::shared_ptr<Pollable>> registry_;
   CMH_GUARDED_BY_PROTOCOL("loop thread only")
   std::vector<std::shared_ptr<Pollable>> graveyard_;
+};
+
+/// A fixed set of event loops shared by the nodes of one transport.  Node i
+/// is owned by loop i mod size(): everything that runs for the node runs on
+/// that one thread, so it never runs concurrently with itself.
+class EventLoopPool {
+ public:
+  /// Runs `size` loops; 0 means default_size().
+  explicit EventLoopPool(unsigned size = 0);
+
+  /// min(4, hardware_concurrency).
+  [[nodiscard]] static unsigned default_size();
+
+  /// Spawns every loop thread.  Call once.
+  void start();
+
+  /// Joins every loop (see EventLoop::stop).  Call refuse_on_loop_thread()
+  /// first: a loop cannot join itself.
+  void stop();
+
+  /// Throws std::logic_error naming `what` when the caller is one of the
+  /// pool's loop threads (from inside a handler), where a call that waits
+  /// for a loop would wait behind itself.
+  void refuse_on_loop_thread(const char* what) const;
+
+  /// The loop that owns `key` (a node id, or any other placement key):
+  /// loop key mod size().
+  [[nodiscard]] EventLoop& loop_for(std::size_t key) const {
+    return *loops_[key % loops_.size()];
+  }
+
+ private:
+  std::vector<std::unique_ptr<EventLoop>> loops_;
 };
 
 }  // namespace cmh::net

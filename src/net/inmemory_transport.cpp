@@ -9,108 +9,52 @@ NodeId InMemoryTransport::add_node(Handler handler) {
   if (started_) {
     throw std::logic_error("InMemoryTransport: add_node after start()");
   }
-  auto node = std::make_unique<Node>();
-  node->handler = std::move(handler);
-  nodes_.push_back(std::move(node));
-  return static_cast<NodeId>(nodes_.size() - 1);
+  handlers_.push_back(std::move(handler));
+  return static_cast<NodeId>(handlers_.size() - 1);
 }
 
 void InMemoryTransport::set_handler(NodeId node, Handler handler) {
   const MutexLock lock(nodes_mutex_);
   if (started_) {
-    // The worker threads read handlers without a lock (frozen-after-start
-    // protocol); replacing one mid-flight would race with delivery.
+    // The loops read handlers without a lock (frozen-after-start protocol);
+    // replacing one mid-flight would race with delivery.
     throw std::logic_error("InMemoryTransport: set_handler after start()");
   }
-  nodes_.at(node)->handler = std::move(handler);
-}
-
-std::vector<InMemoryTransport::Node*> InMemoryTransport::snapshot_nodes() {
-  const MutexLock lock(nodes_mutex_);
-  std::vector<Node*> out;
-  out.reserve(nodes_.size());
-  for (const auto& node : nodes_) out.push_back(node.get());
-  return out;
+  handlers_.at(node) = std::move(handler);
 }
 
 void InMemoryTransport::send(NodeId from, NodeId to, BytesView payload) {
-  Node* node = nullptr;
-  {
-    const MutexLock lock(nodes_mutex_);
-    node = nodes_.at(to).get();
+  if (!started_.load(std::memory_order_acquire)) {
+    throw std::logic_error("InMemoryTransport::send: transport not started");
   }
-  {
-    const MutexLock lock(node->mutex);
-    node->queue.push_back(Mail{from, Bytes(payload.begin(), payload.end())});
+  if (from >= handlers_.size() || to >= handlers_.size()) {
+    throw std::out_of_range("InMemoryTransport::send: unknown node");
   }
-  node->cv.notify_one();
+  // After stop() the loop refuses the task; drops at shutdown are
+  // acceptable, as on every threaded transport.
+  pool_.loop_for(to).post(
+      [this, from, to, frame = Bytes(payload.begin(), payload.end())] {
+        if (const Handler& handler = handlers_[to]) handler(from, frame);
+      });
 }
 
 void InMemoryTransport::start() {
   const MutexLock lock(nodes_mutex_);
-  if (started_) return;
-  started_ = true;
-  stopping_ = false;
-  for (auto& node : nodes_) {
-    node->worker = std::thread([this, n = node.get()] { worker_loop(*n); });
+  if (stopping_) {
+    // The loops were joined; they cannot be restarted in place.
+    throw std::logic_error(
+        "InMemoryTransport: restart after stop() unsupported");
   }
+  if (started_) return;
+  pool_.start();
+  started_.store(true, std::memory_order_release);
 }
 
 void InMemoryTransport::stop() {
-  {
-    const MutexLock lock(nodes_mutex_);
-    if (!started_ || stopping_) return;
-    stopping_ = true;
-  }
-  // Per-node work below runs on a registry snapshot: joining workers while
-  // holding nodes_mutex_ would deadlock against handlers calling send().
-  const std::vector<Node*> nodes = snapshot_nodes();
-  for (Node* node : nodes) {
-    // Take the node mutex before notifying so a worker between its
-    // predicate check and wait() cannot miss the wakeup.
-    { const MutexLock lock(node->mutex); }
-    node->cv.notify_all();
-  }
-  for (Node* node : nodes) {
-    if (node->worker.joinable()) node->worker.join();
-  }
-  const MutexLock lock(nodes_mutex_);
-  started_ = false;
-}
-
-void InMemoryTransport::worker_loop(Node& node) {
-  for (;;) {
-    Mail mail;
-    {
-      const MutexLock lock(node.mutex);
-      node.cv.wait(node.mutex, [&] {
-        // Held by CondVar::wait's contract; the analysis cannot see through
-        // the predicate lambda boundary.
-        node.mutex.assert_held();
-        return stopping_.load() || !node.queue.empty();
-      });
-      if (node.queue.empty()) return;  // stopping and drained
-      mail = std::move(node.queue.front());
-      node.queue.pop_front();
-      node.busy = true;
-    }
-    if (node.handler) node.handler(mail.from, mail.payload);
-    {
-      const MutexLock lock(node.mutex);
-      node.busy = false;
-    }
-    node.cv.notify_all();
-  }
-}
-
-void InMemoryTransport::drain() {
-  for (Node* node : snapshot_nodes()) {
-    const MutexLock lock(node->mutex);
-    node->cv.wait(node->mutex, [&] {
-      node->mutex.assert_held();  // held by CondVar::wait's contract
-      return node->queue.empty() && !node->busy;
-    });
-  }
+  if (!started_.load(std::memory_order_acquire)) return;
+  pool_.refuse_on_loop_thread("InMemoryTransport::stop");
+  if (stopping_.exchange(true)) return;  // a concurrent stop() owns teardown
+  pool_.stop();
 }
 
 }  // namespace cmh::net

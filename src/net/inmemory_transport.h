@@ -1,24 +1,24 @@
-// Multithreaded in-process transport.
+// Multithreaded in-process transport on an event-loop pool.
 //
-// Each node owns a FIFO mailbox drained by a dedicated delivery thread, so
-// handlers for one node run strictly sequentially (the paper's atomic-step
-// requirement) while different nodes run genuinely concurrently.  Per-channel
-// FIFO holds because a sender enqueues into the destination mailbox in
-// program order under the mailbox lock.
+// Node i is owned by loop i mod L (EventLoopPool).  send() copies the
+// payload and posts its delivery to the loop that owns the destination, so
+// a node's handler runs only on that one thread, one message at a time (the
+// paper's atomic-step requirement), while nodes on different loops run
+// concurrently.  Per-channel FIFO holds because a loop runs posted tasks in
+// the order they were posted.  A transport costs L threads, whatever its
+// size.
 //
-// Capability model (DESIGN.md section 7.2): the node registry is guarded by
-// nodes_mutex_ and frozen at start(); each node's mailbox state is guarded
-// by that node's own mutex.  The two are never nested in the same direction
-// twice: registry lookups copy a Node* out before touching per-node state.
+// Capability model (DESIGN.md section 7.2): nodes_mutex_ serializes
+// registration against start(); the handler set is frozen at start() and
+// read lock-free afterwards (published by started_).  All delivery state
+// is the loops' task queues.
 #pragma once
 
 #include <atomic>
-#include <deque>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/sync.h"
+#include "net/event_loop.h"
 #include "net/transport.h"
 
 namespace cmh::net {
@@ -32,45 +32,26 @@ class InMemoryTransport final : public Transport {
   InMemoryTransport& operator=(const InMemoryTransport&) = delete;
 
   NodeId add_node(Handler handler) override;
-  /// Rejected after start(): the delivery threads read node handlers without
-  /// a lock, which is only sound while the handler set is frozen.
+  /// Rejected after start(): the loops read handlers without a lock, which
+  /// is only sound while the handler set is frozen.
   void set_handler(NodeId node, Handler handler) override;
+  /// Copies the payload and posts its delivery.  Throws std::logic_error
+  /// before start() and std::out_of_range for an unknown endpoint.
   void send(NodeId from, NodeId to, BytesView payload) override;
   void start() override;
+  /// Delivers every message sent before the call, then joins the loops, so
+  /// no handler runs once it returns.  Throws std::logic_error on a loop
+  /// thread (from inside a handler): the loop would have to join itself.
   void stop() override;
 
-  /// Blocks until every mailbox is empty and every delivery thread is idle.
-  /// Note: a handler may send new messages, so callers typically loop on an
-  /// application-level condition; this is a best-effort quiesce for tests.
-  void drain();
-
  private:
-  struct Mail {
-    NodeId from;
-    Bytes payload;
-  };
-  struct Node {
-    // Written only before start() (add_node/set_handler enforce it), read
-    // by the worker thread afterwards: the thread creation in start()
-    // publishes it, so no lock is needed once the set is frozen.
-    Handler handler;
-    Mutex mutex;
-    CondVar cv;
-    std::deque<Mail> queue CMH_GUARDED_BY(mutex);
-    bool busy CMH_GUARDED_BY(mutex){false};  // a message is in its handler
-    std::thread worker;
-  };
-
-  void worker_loop(Node& node);
-
-  /// Registry snapshot for the phases that must not hold nodes_mutex_ while
-  /// touching per-node locks (stop joins workers that may be inside send(),
-  /// which takes nodes_mutex_).
-  [[nodiscard]] std::vector<Node*> snapshot_nodes() CMH_EXCLUDES(nodes_mutex_);
-
   Mutex nodes_mutex_;
-  std::vector<std::unique_ptr<Node>> nodes_ CMH_GUARDED_BY(nodes_mutex_);
-  bool started_ CMH_GUARDED_BY(nodes_mutex_){false};
+  CMH_GUARDED_BY_PROTOCOL(
+      "written under nodes_mutex_ before start(); frozen and read lock-free "
+      "after, published by started_")
+  std::vector<Handler> handlers_;
+  EventLoopPool pool_;
+  std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
 };
 

@@ -11,8 +11,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string>
-#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -21,9 +19,12 @@ namespace cmh::net {
 
 namespace {
 
-/// Stack iovec array bound for one sendmsg(); max_coalesced_frames is
-/// clamped to this.
+/// Frames folded into one sendmsg() (the size of its stack iovec array;
+/// well under the OS IOV_MAX).
 constexpr std::size_t kIovCap = 64;
+
+/// Readable space requested from the ring buffer per recv() call.
+constexpr std::size_t kRecvChunk = 64 * 1024;
 
 /// Pre-frames a payload: 4-byte big-endian length prefix + bytes, one
 /// contiguous buffer so a single iovec carries the whole frame.
@@ -175,7 +176,7 @@ void TcpTransport::InboundConn::on_events(std::uint32_t) {
   // Level-triggered: read until the socket is drained (short read / EAGAIN)
   // so one readiness event never leaves buffered frames behind.
   for (;;) {
-    std::uint8_t* dst = buf.writable(t.config_.recv_chunk);
+    std::uint8_t* dst = buf.writable(kRecvChunk);
     const std::size_t cap = buf.writable_size();
     const ssize_t n = ::recv(fd(), dst, cap, 0);
     if (n > 0) {
@@ -320,26 +321,19 @@ void TcpTransport::start() {
     node->port = ntohs(addr.sin_port);
   }
 
-  unsigned n_loops = config_.event_loops;
-  if (n_loops == 0) {
-    n_loops = std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
-  }
-  for (unsigned i = 0; i < n_loops; ++i) {
-    loops_.push_back(std::make_unique<EventLoop>());
-    loops_.back()->start();
-  }
+  pool_.start();
 
   const auto n = static_cast<std::uint32_t>(nodes_.size());
   for (std::uint32_t i = 0; i < n; ++i) {
     Node* node = nodes_[i].get();
-    node->loop = loops_[i % n_loops].get();
+    node->loop = &pool_.loop_for(i);
     node->channels.reserve(n);
     for (std::uint32_t j = 0; j < n; ++j) {
       auto ch = std::make_unique<Channel>();
       // Spread channels across the pool independently of the listener
       // placement so heavy senders and heavy receivers do not pile onto
       // the same loop.
-      ch->loop = loops_[(static_cast<std::size_t>(i) * n + j) % n_loops].get();
+      ch->loop = &pool_.loop_for(static_cast<std::size_t>(i) * n + j);
       ch->src = i;
       ch->dst = j;
       ch->dst_port = nodes_[j]->port;
@@ -359,20 +353,9 @@ void TcpTransport::start() {
   started_.store(true, std::memory_order_release);
 }
 
-void TcpTransport::refuse_on_loop_thread(const char* what) const {
-  for (const auto& loop : loops_) {
-    if (loop->on_loop_thread()) {
-      throw std::logic_error(
-          std::string("TcpTransport::") + what +
-          ": called on an event-loop thread (from inside a handler), "
-          "which would wait on the loop it is blocking");
-    }
-  }
-}
-
 void TcpTransport::stop() {
   if (!started_.load(std::memory_order_acquire)) return;
-  refuse_on_loop_thread("stop");
+  pool_.refuse_on_loop_thread("TcpTransport::stop");
   if (stopping_.exchange(true)) return;  // a concurrent stop() owns teardown
   // Cleared only after stopping_ is published: a sender that sees started_
   // cleared here is guaranteed to see stopping_ too, and drops its frame.
@@ -395,13 +378,13 @@ void TcpTransport::stop() {
 
   // Joins every loop thread, so no handler runs once this returns; each
   // loop closes its registered fds on the way out.  The EventLoop objects
-  // stay alive (see loops_ comment).
-  for (auto& loop : loops_) loop->stop();
+  // stay alive (see pool_ comment).
+  pool_.stop();
 }
 
 void TcpTransport::close_listener(NodeId node) {
   if (!started_.load(std::memory_order_acquire)) return;
-  refuse_on_loop_thread("close_listener");
+  pool_.refuse_on_loop_thread("TcpTransport::close_listener");
   Node* raw = node_index_.at(node);
   Mutex done_mutex;
   CondVar done_cv;
@@ -534,8 +517,6 @@ void TcpTransport::flush_channel(Channel& ch) {
 
 void TcpTransport::flush_channel_locked(Channel& ch) {
   iovec iov[kIovCap];
-  const std::size_t max_iov = std::clamp<std::size_t>(
-      config_.max_coalesced_frames, 1, kIovCap);
   for (;;) {
     if (ch.queue.empty()) {
       ch.flush_scheduled = false;
@@ -545,10 +526,10 @@ void TcpTransport::flush_channel_locked(Channel& ch) {
       }
       return;
     }
-    // One sendmsg() carries prefix+payload of up to max_iov queued frames.
+    // One sendmsg() carries prefix+payload of up to kIovCap queued frames.
     std::size_t cnt = 0;
     std::size_t requested = 0;
-    for (auto it = ch.queue.begin(); it != ch.queue.end() && cnt < max_iov;
+    for (auto it = ch.queue.begin(); it != ch.queue.end() && cnt < kIovCap;
          ++it, ++cnt) {
       const std::size_t off = cnt == 0 ? ch.front_offset : 0;
       iov[cnt].iov_base = it->data() + off;

@@ -12,8 +12,8 @@
 //     pending) wakes the channel's event loop through an eventfd.  The
 //     caller thread never touches the socket.
 //   * The loop flushes with one sendmsg() carrying the length prefixes AND
-//     payloads of up to `max_coalesced_frames` queued frames -- under load
-//     the measured syscalls-per-frame drops well below one.
+//     payloads of up to 64 queued frames -- under load the measured
+//     syscalls-per-frame drops well below one.
 //   * The receive side reads into a per-connection ring buffer (one recv()
 //     per readiness, many frames), slices complete frames out of it
 //     without a per-frame resize(), and runs the receiving node's handler
@@ -24,12 +24,11 @@
 // peer is unreachable are counted per channel (dropped_frames()) instead
 // of blocking the caller.
 //
-// Node i is owned by loop i mod L: its listener and every connection it
-// accepts are registered there, so its handler always runs on that one
-// thread and never concurrently with itself (the paper's atomic-step
-// requirement).  A cluster therefore costs L threads, whatever its size.
-// The thread-per-connection implementation this replaced survives as
-// BlockingTcpTransport for comparison benchmarks.
+// Node i is owned by loop i mod L (EventLoopPool): its listener and every
+// connection it accepts are registered there, so its handler always runs
+// on that one thread and never concurrently with itself (the paper's
+// atomic-step requirement).  A cluster therefore costs L threads, whatever
+// its size.  Outbound channels are spread over the pool independently.
 //
 // Capability model (DESIGN.md section 7.2): the node registry is guarded
 // by nodes_mutex_ and frozen at start() (node_index_ is the lock-free
@@ -55,17 +54,12 @@
 namespace cmh::net {
 
 struct TcpTransportConfig {
-  /// Event-loop threads to run; 0 means min(4, hardware_concurrency).
+  /// Event-loop threads to run; 0 means EventLoopPool::default_size().
   unsigned event_loops = 0;
-  /// Upper bound on frames folded into a single sendmsg() (also clamped to
-  /// the OS IOV_MAX).
-  std::uint32_t max_coalesced_frames = 64;
   /// First retry delay after a failed connect; doubles per failure.
   std::chrono::milliseconds reconnect_backoff_initial{5};
   /// Ceiling for the exponential backoff.
   std::chrono::milliseconds reconnect_backoff_max{1000};
-  /// Readable space requested from the ring buffer per recv() call.
-  std::size_t recv_chunk = 64 * 1024;
 };
 
 class TcpTransport final : public Transport {
@@ -164,9 +158,6 @@ class TcpTransport final : public Transport {
     ListenConn* listener{nullptr};
   };
 
-  /// Throws std::logic_error when the caller is one of loops_' threads.
-  void refuse_on_loop_thread(const char* what) const;
-
   // Loop-thread-only channel lifecycle (each takes ch.mutex internally).
   void connect_channel(Channel& ch);
   void flush_channel(Channel& ch);
@@ -183,11 +174,10 @@ class TcpTransport final : public Transport {
   CMH_GUARDED_BY_PROTOCOL("frozen at start(); published by started_")
   std::vector<Node*> node_index_;
 
-  /// Loops are created in start() and stopped (joined) in stop(), but the
-  /// objects live until destruction so a send() racing stop() posts to a
-  /// dead-but-alive loop instead of freed memory.
-  CMH_GUARDED_BY_PROTOCOL("created in start() pre-publication")
-  std::vector<std::unique_ptr<EventLoop>> loops_;
+  /// Started in start() and joined in stop(), but alive until destruction
+  /// so a send() racing stop() posts to a dead-but-alive loop instead of
+  /// freed memory.
+  EventLoopPool pool_{config_.event_loops};
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};

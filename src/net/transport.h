@@ -4,8 +4,8 @@
 // byte payloads to node ids through this interface.  Three implementations
 // exist:
 //   * SimTransport       -- deterministic discrete-event simulation
-//   * InMemoryTransport  -- real threads, lock-protected FIFO queues
-//   * TcpTransport       -- localhost TCP sockets, length-prefixed frames
+//   * InMemoryTransport  -- in-process, on an event-loop pool
+//   * TcpTransport       -- localhost TCP sockets on the same kind of pool
 // All three guarantee the paper's communication model: reliable, in-order
 // (per channel), finite-delay delivery.
 #pragma once
@@ -41,14 +41,13 @@ struct TransportIoStats {
 class Transport {
  public:
   /// Invoked once per delivered message.  For threaded transports the
-  /// handler runs on a transport thread -- a per-node delivery thread, or
-  /// (TcpTransport) the I/O event loop that owns the node; one handler is
-  /// never invoked concurrently with itself for the same node (per-node
-  /// serialization), which realizes the paper's atomic-step requirement
-  /// (note under A0-A2).  The payload reference is valid only for the
-  /// call: copy what must outlive it.  On an event loop a handler that
-  /// blocks stalls every node the loop owns (TcpTransport: node i is on
-  /// loop i mod L), so handlers should not wait on other nodes' progress.
+  /// handler runs on the event loop that owns the node (node i is on loop
+  /// i mod L); one handler is never invoked concurrently with itself for
+  /// the same node (per-node serialization), which realizes the paper's
+  /// atomic-step requirement (note under A0-A2).  The payload reference is
+  /// valid only for the call: copy what must outlive it.  A handler that
+  /// blocks stalls every node its loop owns, so handlers should not wait on
+  /// other nodes' progress.
   using Handler = std::function<void(NodeId from, const Bytes& payload)>;
 
   virtual ~Transport() = default;
@@ -68,7 +67,8 @@ class Transport {
   /// Begins delivery (no-op for transports that deliver eagerly).
   virtual void start() {}
 
-  /// Stops delivery and joins internal threads.  Idempotent.
+  /// Stops delivery and joins internal threads.  Idempotent.  Threaded
+  /// transports throw std::logic_error when called from a handler.
   virtual void stop() {}
 };
 

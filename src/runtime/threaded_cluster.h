@@ -1,6 +1,7 @@
 // ThreadedCluster -- hosts BasicProcess instances on a real (threaded)
-// Transport: InMemoryTransport, the epoll TcpTransport, or
-// BlockingTcpTransport.
+// Transport: InMemoryTransport or the epoll TcpTransport.  Both run each
+// node's handler on the event loop that owns the node, so a cluster costs
+// the transport's L loop threads plus the timer thread.
 //
 // Each process is guarded by its own mutex; the transport's per-node
 // delivery serialization plus this mutex give the paper's atomic-step
@@ -9,10 +10,11 @@
 //
 // Capability model (DESIGN.md section 7.2): Cell::mutex guards the hosted
 // BasicProcess (every touch of the process happens under it, whether from
-// the application thread, a transport's delivery thread or event loop, or
-// a timer callback -- LockingTimerService re-takes it around scheduled
-// callbacks); detect_mutex_ guards the detection log.  Lock order where they nest: Cell::mutex before
-// detect_mutex_ (the deadlock callback runs inside on_message).
+// the application thread, a transport's event loop, or a timer callback
+// -- LockingTimerService re-takes it around scheduled callbacks);
+// detect_mutex_ guards the detection log.  Lock order where they nest:
+// Cell::mutex before detect_mutex_ (the deadlock callback runs inside
+// on_message).
 #pragma once
 
 #include <map>

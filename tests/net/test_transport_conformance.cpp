@@ -3,7 +3,7 @@
 // plus the interface contracts the runtime layer leans on -- zero-length
 // payloads, large frames, per-node handler serialization (atomic steps),
 // and a stop() that is safe under concurrent traffic.  The same test body
-// runs against all three implementations via a typed fixture, so a new
+// runs against every threaded implementation via a typed fixture, so a new
 // transport cannot pass review without passing the model.
 #include <gtest/gtest.h>
 
@@ -13,11 +13,12 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/sync.h"
-#include "net/blocking_tcp_transport.h"
 #include "net/inmemory_transport.h"
 #include "net/tcp_transport.h"
 
@@ -62,14 +63,12 @@ struct TransportNames {
   template <typename T>
   static std::string GetName(int) {
     if (std::is_same_v<T, InMemoryTransport>) return "InMemory";
-    if (std::is_same_v<T, BlockingTcpTransport>) return "BlockingTcp";
     if (std::is_same_v<T, TcpTransport>) return "EpollTcp";
     return "Unknown";
   }
 };
 
-using TransportTypes =
-    ::testing::Types<InMemoryTransport, BlockingTcpTransport, TcpTransport>;
+using TransportTypes = ::testing::Types<InMemoryTransport, TcpTransport>;
 TYPED_TEST_SUITE(TransportConformance, TransportTypes, TransportNames);
 
 // Per-channel FIFO with concurrent senders: interleaving across threads is
@@ -168,8 +167,8 @@ TYPED_TEST(TransportConformance, LargeFramesRoundTrip) {
 
 // stop() must be safe while senders are still blasting: no crash, no hang,
 // no delivery after stop() returns.  Senders are bounded (not an infinite
-// loop) because InMemoryTransport::stop() drains the mailbox -- unbounded
-// production would keep it non-empty forever.
+// loop) so the test ends even on a transport whose stop() delivers what
+// was queued before it.
 TYPED_TEST(TransportConformance, StopDuringHeavyTraffic) {
   constexpr std::uint64_t kPerSender = 20000;
   TypeParam t;
@@ -293,6 +292,60 @@ TYPED_TEST(TransportConformance, HandlersRelayAcrossNodes) {
   EXPECT_EQ(fifo_breaks.load(), 0);
   EXPECT_EQ(misroutes.load(), 0);
   t.stop();
+}
+
+// Both ends of a send are checked: a frame from an unknown node must not
+// reach a handler under a sender id no node has.
+TYPED_TEST(TransportConformance, SendWithUnknownEndpointThrows) {
+  TypeParam t;
+  Collector c;
+  const NodeId a = t.add_node(c.handler());
+  t.start();
+  EXPECT_THROW(t.send(a, 42, Bytes{1}), std::out_of_range);
+  EXPECT_THROW(t.send(42, a, Bytes{1}), std::out_of_range);
+  t.send(a, a, Bytes{2});  // behind anything the refused sends queued
+  ASSERT_TRUE(c.wait_for(1));
+  const auto items = c.items();
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0].first, a);
+  EXPECT_EQ(items[0].second, Bytes{2});
+  t.stop();
+}
+
+// Handlers run on transport threads, so stop() from inside one would join
+// the thread it runs on.  It refuses with a logic_error instead, and the
+// transport keeps delivering.
+TYPED_TEST(TransportConformance, StopFromHandlerRefused) {
+  TypeParam t;
+  Mutex mutex;
+  CondVar cv;
+  std::vector<std::string> errors;  // guarded by mutex
+  const NodeId a = t.add_node({});
+  const NodeId b = t.add_node([&](NodeId, const Bytes&) {
+    std::string what = "no exception";
+    try {
+      t.stop();
+    } catch (const std::logic_error& e) {
+      what = e.what();
+    }
+    const MutexLock lock(mutex);
+    errors.push_back(what);
+    cv.notify_all();
+  });
+  t.start();
+  t.send(a, b, Bytes{1});
+  t.send(a, b, Bytes{2});  // delivered after the refusal: the loop lives on
+  {
+    const MutexLock lock(mutex);
+    ASSERT_TRUE(cv.wait_for(mutex, 10000ms, [&] {
+      mutex.assert_held();  // held by CondVar::wait's contract
+      return errors.size() >= 2;
+    }));
+    for (const auto& what : errors) {
+      EXPECT_NE(what.find("event-loop thread"), std::string::npos) << what;
+    }
+  }
+  t.stop();  // still completes from the test thread
 }
 
 }  // namespace

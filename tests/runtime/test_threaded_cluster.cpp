@@ -156,17 +156,13 @@ std::size_t thread_count() {
       std::distance(begin(tasks), end(tasks)));
 }
 
-// Over TcpTransport a cluster of any size costs the transport's L loop
-// threads plus the timer thread, and stop() gives all of them back.
-TEST(ThreadedCluster, TcpThreadCountIsLoopsPlusOne) {
-  constexpr unsigned kLoops = 2;
-  const std::size_t baseline = thread_count();
+// On either threaded transport a cluster of any size costs the transport's
+// L loop threads plus the timer thread, and stop() gives all of them back.
+void expect_loops_plus_one(net::Transport& transport, std::size_t loops,
+                           std::size_t baseline) {
   {
-    net::TcpTransportConfig config;
-    config.event_loops = kLoops;
-    net::TcpTransport transport(config);
     ThreadedCluster cluster(transport, 16, core::Options{});
-    EXPECT_EQ(thread_count(), baseline + kLoops + 1);
+    EXPECT_EQ(thread_count(), baseline + loops + 1);
     cluster.stop();
   }
   // A joined thread can linger in /proc for a moment after join().
@@ -176,6 +172,22 @@ TEST(ThreadedCluster, TcpThreadCountIsLoopsPlusOne) {
     std::this_thread::sleep_for(1ms);
   }
   EXPECT_EQ(thread_count(), baseline);
+}
+
+TEST(ThreadedCluster, TcpThreadCountIsLoopsPlusOne) {
+  constexpr unsigned kLoops = 2;
+  const std::size_t baseline = thread_count();
+  net::TcpTransportConfig config;
+  config.event_loops = kLoops;
+  net::TcpTransport transport(config);
+  expect_loops_plus_one(transport, kLoops, baseline);
+}
+
+TEST(ThreadedCluster, InMemoryThreadCountIsLoopsPlusOne) {
+  const std::size_t baseline = thread_count();
+  net::InMemoryTransport transport;
+  expect_loops_plus_one(transport, net::EventLoopPool::default_size(),
+                        baseline);
 }
 
 }  // namespace
