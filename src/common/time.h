@@ -1,9 +1,10 @@
 // Time representation shared by the simulator (virtual time) and the
-// threaded runtimes (wall-clock mapped onto the same type).
+// threaded runtimes (wall-clock mapped onto the same type), and the one
+// timer hook both schedule through.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <ostream>
 
 namespace cmh {
@@ -36,27 +37,10 @@ struct SimTime {
   }
 };
 
-/// Abstract clock so algorithm-level code (e.g. the delayed-T initiation
-/// policy) can run unchanged in the simulator and on real threads.
-class Clock {
- public:
-  virtual ~Clock() = default;
-  [[nodiscard]] virtual SimTime now() const = 0;
-};
-
-/// Wall clock mapped to SimTime (micros since construction).
-class SteadyClock final : public Clock {
- public:
-  SteadyClock() : start_(std::chrono::steady_clock::now()) {}
-
-  [[nodiscard]] SimTime now() const override {
-    const auto d = std::chrono::steady_clock::now() - start_;
-    return SimTime::us(
-        std::chrono::duration_cast<std::chrono::microseconds>(d).count());
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
+/// Runs a callback `delay` from now, on whatever the host uses for time:
+/// virtual time on the simulator, a wall-clock EventLoop timer on the
+/// threaded runtime.  Used by the kDelayed initiation policy (paper
+/// section 4.3) of BasicProcess and ddb::Controller alike.
+using TimerFn = std::function<void(SimTime delay, std::function<void()>)>;
 
 }  // namespace cmh

@@ -7,14 +7,14 @@
 namespace cmh::core {
 
 BasicProcess::BasicProcess(ProcessId id, Sender sender, Options options,
-                           TimerService* timers)
+                           TimerFn timers)
     : id_(id),
       sender_(std::move(sender)),
       options_(options),
-      timers_(timers) {
-  if (options_.initiation == InitiationMode::kDelayed && timers_ == nullptr) {
+      timers_(std::move(timers)) {
+  if (options_.initiation == InitiationMode::kDelayed && !timers_) {
     throw std::invalid_argument(
-        "BasicProcess: kDelayed initiation requires a TimerService");
+        "BasicProcess: kDelayed initiation requires timers");
   }
 }
 
@@ -39,7 +39,7 @@ void BasicProcess::send_request(ProcessId to) {
       // Section 4.3: initiate only if this edge still exists, and has
       // existed *continuously*, T time units from now.  The epoch check
       // rejects delete-then-recreate within the window.
-      timers_->schedule(options_.initiation_delay, [this, to, epoch] {
+      timers_(options_.initiation_delay, [this, to, epoch] {
         if (out_edges_.contains(to) && out_edge_epoch_[to] == epoch) {
           initiate();
         }

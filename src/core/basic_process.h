@@ -36,14 +36,6 @@ namespace cmh::core {
 /// copy it.
 using Sender = std::function<void(ProcessId to, BytesView payload)>;
 
-/// Schedules a callback after a delay; used by the kDelayed initiation
-/// policy.  The simulator and threaded runtimes provide implementations.
-class TimerService {
- public:
-  virtual ~TimerService() = default;
-  virtual void schedule(SimTime delay, std::function<void()> fn) = 0;
-};
-
 /// Raised on misuse of the model (e.g. a blocked process trying to reply).
 class ModelViolation : public std::logic_error {
   using std::logic_error::logic_error;
@@ -71,7 +63,7 @@ class BasicProcess {
   using WfgdEdgeSet = FlatSet<graph::Edge, 8>;
 
   BasicProcess(ProcessId id, Sender sender, Options options = {},
-               TimerService* timers = nullptr);
+               TimerFn timers = {});
 
   BasicProcess(const BasicProcess&) = delete;
   BasicProcess& operator=(const BasicProcess&) = delete;
@@ -156,7 +148,7 @@ class BasicProcess {
   ProcessId id_;
   Sender sender_;
   Options options_;
-  TimerService* timers_;
+  TimerFn timers_;
   DeadlockCallback on_deadlock_;
 
   EdgeSet out_edges_;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <ctime>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -38,17 +39,17 @@ EventLoop::~EventLoop() {
 }
 
 void EventLoop::start() {
+  const MutexLock lock(join_mutex_);
   thread_ = std::thread([this] { run(); });
   thread_id_ = thread_.get_id();
 }
 
 void EventLoop::stop() {
-  if (stopping_.exchange(true)) {
-    if (thread_.joinable()) thread_.join();
-    return;
+  if (!stopping_.exchange(true)) {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  const MutexLock lock(join_mutex_);
   if (thread_.joinable()) thread_.join();
 }
 
@@ -68,6 +69,14 @@ bool EventLoop::post(std::function<void()> task) {
     [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   }
   return true;
+}
+
+bool EventLoop::post_after(std::chrono::steady_clock::duration delay,
+                           std::function<void()> task) {
+  const TimePoint at = std::chrono::steady_clock::now() + delay;
+  return post([this, at, task = std::move(task)]() mutable {
+    timers_.emplace(at, std::move(task));  // after equal deadlines: FIFO
+  });
 }
 
 bool EventLoop::on_loop_thread() const {
@@ -114,6 +123,17 @@ void EventLoop::drain_wake() const {
       ::read(wake_fd_, &count, sizeof(count));  // nonblocking; resets to 0
 }
 
+void EventLoop::fire_due_timers() {
+  if (timers_.empty()) return;  // the transports' loops: no clock read
+  const TimePoint now = std::chrono::steady_clock::now();
+  // A timer that schedules another goes through post(), so nothing joins
+  // the map during this pass and the pass always ends.
+  while (!timers_.empty() && timers_.begin()->first <= now) {
+    auto due = timers_.extract(timers_.begin());
+    due.mapped()();
+  }
+}
+
 void EventLoop::run() {
   std::vector<epoll_event> events(128);
   std::vector<std::function<void()>> tasks;
@@ -122,9 +142,19 @@ void EventLoop::run() {
     // event fetched alongside it; release for real.
     graveyard_.clear();
 
-    const int n =
-        ::epoll_wait(epoll_fd_, events.data(),
-                     static_cast<int>(events.size()), /*timeout=*/-1);
+    // Sleep until the earliest timer is due; with none, until woken.
+    timespec timeout{};
+    if (!timers_.empty()) {
+      const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+          timers_.begin()->first - std::chrono::steady_clock::now());
+      const std::int64_t ns = std::max<std::int64_t>(left.count(), 0);
+      timeout.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+      timeout.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+    }
+    const int n = ::epoll_pwait2(epoll_fd_, events.data(),
+                                 static_cast<int>(events.size()),
+                                 timers_.empty() ? nullptr : &timeout,
+                                 /*sigmask=*/nullptr);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd itself is broken; nothing sane left to do
@@ -147,6 +177,7 @@ void EventLoop::run() {
     }
     for (auto& task : tasks) task();
     tasks.clear();
+    fire_due_timers();
 
     if (n == static_cast<int>(events.size())) events.resize(events.size() * 2);
   }
@@ -166,6 +197,7 @@ void EventLoop::run() {
     tasks.swap(tasks_);
   }
   for (auto& task : tasks) task();
+  timers_.clear();
 }
 
 // ---- EventLoopPool ----------------------------------------------------------

@@ -5,7 +5,10 @@
 // mutation (add / re-arm / destroy) happen exclusively on the loop thread,
 // so Pollable state needs no locking at all.  Other threads talk to the
 // loop only through post(), which enqueues a closure and wakes the loop
-// via an eventfd.
+// via an eventfd, and post_after(), which posts the insertion of a
+// wall-clock timer into a loop-thread-only deadline map.  Due timers fire
+// after each task batch; the loop sleeps in epoll_pwait2 until the next
+// deadline, so a timer's lateness is not rounded up to a millisecond.
 //
 // Lifetime of a Pollable is airtight against stale events: destroy()
 // removes the fd from epoll and closes it, but the object itself is parked
@@ -18,14 +21,16 @@
 // wait on a loop from one of its own threads.
 //
 // Capability model (DESIGN.md section 7.2): tasks_mutex_ guards the posted
-// task queue (the only cross-thread state); everything else is loop-thread
-// confined and documented with CMH_GUARDED_BY_PROTOCOL.  A pool's loop set
-// is fixed at construction.
+// task queue (the only cross-thread state); everything else, timers
+// included, is loop-thread confined and documented with
+// CMH_GUARDED_BY_PROTOCOL.  A pool's loop set is fixed at construction.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -72,9 +77,12 @@ class EventLoop {
   void start();
 
   /// Requests exit, wakes the loop and joins it.  Every fd still in the
-  /// registry is closed on the loop thread before it exits.  Idempotent;
-  /// safe without start().  The object stays valid afterwards so that
-  /// racing post() calls land on a dead-but-alive loop (they are dropped).
+  /// registry is closed on the loop thread before it exits.  Idempotent,
+  /// and safe from several threads at once (each returns once the loop is
+  /// joined) and without start().  The object stays valid afterwards so
+  /// that racing post() calls land on a dead-but-alive loop (they are
+  /// dropped).  Must not be called on the loop thread: it would join
+  /// itself.
   void stop();
 
   /// Runs `task` on the loop thread (any thread may call).  Returns false
@@ -83,6 +91,14 @@ class EventLoop {
   /// observe closed pollables), so a poster blocking on a task's completion
   /// never hangs.
   bool post(std::function<void()> task);
+
+  /// Runs `task` on the loop thread no earlier than `delay` from now (any
+  /// thread may call).  Timers fire in deadline order, equal deadlines in
+  /// the order they were scheduled.  Returns false when the loop is
+  /// stopping; timers still pending when the loop exits are dropped
+  /// without running.
+  bool post_after(std::chrono::steady_clock::duration delay,
+                  std::function<void()> task);
 
   /// True when the caller is the loop thread.  Safe from any thread after
   /// start() has returned, even while another thread runs stop().
@@ -102,12 +118,16 @@ class EventLoop {
   void destroy(Pollable& p);
 
  private:
+  using TimePoint = std::chrono::steady_clock::time_point;
+
   void run();
   void drain_wake() const;
+  void fire_due_timers();
 
   int epoll_fd_{-1};
   int wake_fd_{-1};
-  std::thread thread_;
+  Mutex join_mutex_;  // concurrent stop() calls join once
+  std::thread thread_ CMH_GUARDED_BY(join_mutex_);
   /// Set once by start(); unlike thread_, which join() resets.
   std::thread::id thread_id_;
   std::atomic<bool> stopping_{false};
@@ -120,6 +140,8 @@ class EventLoop {
   std::vector<std::shared_ptr<Pollable>> registry_;
   CMH_GUARDED_BY_PROTOCOL("loop thread only")
   std::vector<std::shared_ptr<Pollable>> graveyard_;
+  CMH_GUARDED_BY_PROTOCOL("loop thread only")
+  std::multimap<TimePoint, std::function<void()>> timers_;
 };
 
 /// A fixed set of event loops shared by the nodes of one transport.  Node i

@@ -1,13 +1,12 @@
 // Transport abstraction.
 //
-// Algorithm code never talks to a socket or a simulator directly; it sends
-// byte payloads to node ids through this interface.  Three implementations
-// exist:
-//   * SimTransport       -- deterministic discrete-event simulation
+// Threaded harnesses never talk to a socket directly; they send byte
+// payloads to node ids through this interface.  Two implementations exist:
 //   * InMemoryTransport  -- in-process, on an event-loop pool
 //   * TcpTransport       -- localhost TCP sockets on the same kind of pool
-// All three guarantee the paper's communication model: reliable, in-order
-// (per channel), finite-delay delivery.
+// Both guarantee the paper's communication model: reliable, in-order (per
+// channel), finite-delay delivery.  The simulator (src/sim) gives the same
+// guarantee through its own send/schedule interface.
 #pragma once
 
 #include <cstdint>

@@ -2,102 +2,14 @@
 
 #include <stdexcept>
 
+#include "common/logging.h"
+
 namespace cmh::runtime {
-
-// ---- ThreadTimerService -----------------------------------------------------
-
-ThreadTimerService::ThreadTimerService() : worker_([this] { loop(); }) {}
-
-ThreadTimerService::~ThreadTimerService() { stop(); }
-
-void ThreadTimerService::stop() {
-  {
-    const MutexLock lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-}
-
-void ThreadTimerService::schedule(SimTime delay, std::function<void()> fn) {
-  const auto at = std::chrono::steady_clock::now() +
-                  std::chrono::microseconds(delay.micros);
-  {
-    const MutexLock lock(mutex_);
-    if (stopping_) return;
-    pending_.emplace(at, std::move(fn));
-  }
-  cv_.notify_all();
-}
-
-void ThreadTimerService::loop() {
-  // Due callbacks are moved out under the lock and fired outside it: a
-  // callback may call schedule() (which takes mutex_) or run arbitrarily
-  // long, and must not do either while holding the scheduler lock.
-  std::vector<std::function<void()>> due;
-  for (;;) {
-    {
-      const MutexLock lock(mutex_);
-      for (;;) {
-        if (stopping_) return;
-        if (pending_.empty()) {
-          cv_.wait(mutex_, [&] {
-            mutex_.assert_held();  // held by CondVar::wait's contract
-            return stopping_ || !pending_.empty();
-          });
-          continue;
-        }
-        const auto next = pending_.begin()->first;
-        if (std::chrono::steady_clock::now() >= next) break;
-        cv_.wait_until(mutex_, next, [&] {
-          mutex_.assert_held();  // held by CondVar::wait's contract
-          // Wake early on stop or when schedule() inserts an earlier
-          // deadline; either way the outer loop re-evaluates.
-          return stopping_ || pending_.empty() ||
-                 pending_.begin()->first < next;
-        });
-      }
-      const auto now = std::chrono::steady_clock::now();
-      while (!pending_.empty() && pending_.begin()->first <= now) {
-        due.push_back(std::move(pending_.begin()->second));
-        pending_.erase(pending_.begin());
-      }
-    }
-    for (auto& fn : due) fn();
-    due.clear();
-  }
-}
-
-// ---- ThreadedCluster --------------------------------------------------------
-
-namespace {
-
-/// Wraps the shared timer service so that a process's scheduled callbacks
-/// run under that process's mutex (the kDelayed initiation timer calls back
-/// into BasicProcess and must not race with message delivery).
-class LockingTimerService final : public core::TimerService {
- public:
-  LockingTimerService(core::TimerService& inner, Mutex& mutex)
-      : inner_(inner), mutex_(mutex) {}
-
-  void schedule(SimTime delay, std::function<void()> fn) override {
-    inner_.schedule(delay, [&m = mutex_, f = std::move(fn)] {
-      const MutexLock lock(m);
-      f();
-    });
-  }
-
- private:
-  core::TimerService& inner_;
-  Mutex& mutex_;
-};
-
-}  // namespace
 
 ThreadedCluster::ThreadedCluster(net::Transport& transport, std::uint32_t n,
                                  core::Options options)
     : transport_(transport) {
+  timers_.start();
   cells_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     cells_.push_back(std::make_unique<Cell>());
@@ -105,8 +17,6 @@ ThreadedCluster::ThreadedCluster(net::Transport& transport, std::uint32_t n,
   for (std::uint32_t i = 0; i < n; ++i) {
     const ProcessId id{i};
     Cell& cell = *cells_[i];
-    cell.timer_adapter =
-        std::make_unique<LockingTimerService>(timers_, cell.mutex);
     // Built and wired while still thread-local, then published into the
     // cell; the pointee is only ever dereferenced under cell.mutex once the
     // transport starts.
@@ -115,7 +25,16 @@ ThreadedCluster::ThreadedCluster(net::Transport& transport, std::uint32_t n,
         [this, id](ProcessId to, BytesView payload) {
           transport_.send(id.value(), to.value(), payload);
         },
-        options, cell.timer_adapter.get());
+        options,
+        [this, &cell](SimTime delay, std::function<void()> fn) {
+          // The kDelayed timer calls back into BasicProcess and must not
+          // race with message delivery: it runs under the cell's mutex.
+          timers_.post_after(std::chrono::microseconds(delay.micros),
+                             [&cell, fn = std::move(fn)] {
+                               const MutexLock lock(cell.mutex);
+                               fn();
+                             });
+        });
     process->set_deadlock_callback([this, id](const ProbeTag&) {
       {
         const MutexLock lock(detect_mutex_);
@@ -130,7 +49,9 @@ ThreadedCluster::ThreadedCluster(net::Transport& transport, std::uint32_t n,
           const MutexLock lock(c.mutex);
           const auto st = c.process->on_message(ProcessId{from}, payload);
           if (!st.ok()) {
-            // Malformed frame from a peer: drop (logged by caller layers).
+            CMH_LOG(kWarn, "runtime") << "dropped undecodable frame " << from
+                                      << " -> " << i << ": "
+                                      << st.to_string();
           }
         });
     if (node != i) {
@@ -143,13 +64,13 @@ ThreadedCluster::ThreadedCluster(net::Transport& transport, std::uint32_t n,
 ThreadedCluster::~ThreadedCluster() { stop(); }
 
 void ThreadedCluster::stop() {
-  {
-    const MutexLock lock(detect_mutex_);
-    if (stopped_) return;
-    stopped_ = true;
+  if (timers_.on_loop_thread()) {
+    throw std::logic_error(
+        "ThreadedCluster::stop: called from a timer callback, which would "
+        "wait on the timer loop it is blocking");
   }
+  transport_.stop();  // refuses on a transport loop thread, changing nothing
   timers_.stop();
-  transport_.stop();
 }
 
 void ThreadedCluster::request(ProcessId from, ProcessId to) {

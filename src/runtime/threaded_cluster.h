@@ -1,56 +1,35 @@
 // ThreadedCluster -- hosts BasicProcess instances on a real (threaded)
 // Transport: InMemoryTransport or the epoll TcpTransport.  Both run each
-// node's handler on the event loop that owns the node, so a cluster costs
-// the transport's L loop threads plus the timer thread.
+// node's handler on the event loop that owns the node; the cluster adds
+// one EventLoop of its own for the kDelayed initiation timers
+// (EventLoop::post_after), so a cluster costs the transport's L loop
+// threads plus one.
 //
 // Each process is guarded by its own mutex; the transport's per-node
 // delivery serialization plus this mutex give the paper's atomic-step
 // property even when the application thread issues requests concurrently
-// with message deliveries.
+// with message deliveries and timer callbacks.
 //
 // Capability model (DESIGN.md section 7.2): Cell::mutex guards the hosted
 // BasicProcess (every touch of the process happens under it, whether from
-// the application thread, a transport's event loop, or a timer callback
-// -- LockingTimerService re-takes it around scheduled callbacks);
-// detect_mutex_ guards the detection log.  Lock order where they nest:
-// Cell::mutex before detect_mutex_ (the deadlock callback runs inside
-// on_message).
+// the application thread, a transport's event loop, or the timer loop,
+// which re-takes it around each scheduled callback); detect_mutex_ guards
+// the detection log.  Lock order where they nest: Cell::mutex before
+// detect_mutex_ (the deadlock callback runs inside on_message), and
+// Cell::mutex before the timer loop's EventLoop::tasks_mutex_ (a request
+// schedules its initiation timer while holding the cell).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "common/sync.h"
 #include "core/basic_process.h"
+#include "net/event_loop.h"
 #include "net/transport.h"
 
 namespace cmh::runtime {
-
-/// TimerService driven by a dedicated scheduler thread (wall clock).
-class ThreadTimerService final : public core::TimerService {
- public:
-  ThreadTimerService();
-  ~ThreadTimerService() override;
-
-  ThreadTimerService(const ThreadTimerService&) = delete;
-  ThreadTimerService& operator=(const ThreadTimerService&) = delete;
-
-  void schedule(SimTime delay, std::function<void()> fn) override;
-  void stop();
-
- private:
-  void loop();
-
-  Mutex mutex_;
-  CondVar cv_;
-  std::multimap<std::chrono::steady_clock::time_point, std::function<void()>>
-      pending_ CMH_GUARDED_BY(mutex_);
-  bool stopping_ CMH_GUARDED_BY(mutex_){false};
-  std::thread worker_;
-};
 
 class ThreadedCluster {
  public:
@@ -84,25 +63,27 @@ class ThreadedCluster {
   /// Total declarations so far.
   [[nodiscard]] std::size_t detection_count() const;
 
+  /// Stops the transport and the timer loop; no handler or timer runs
+  /// once it returns.  Idempotent.  Throws std::logic_error, before
+  /// stopping anything, when called from a handler or a timer callback
+  /// (a transport or timer loop thread), which would have to join itself.
   void stop();
 
  private:
   struct Cell {
     mutable Mutex mutex;
-    std::unique_ptr<core::TimerService> timer_adapter;
     // The pointer is set once during construction (pre-concurrency); the
     // pointee is the per-process critical state.
     std::unique_ptr<core::BasicProcess> process CMH_PT_GUARDED_BY(mutex);
   };
 
   net::Transport& transport_;
-  ThreadTimerService timers_;
+  net::EventLoop timers_;
   std::vector<std::unique_ptr<Cell>> cells_;
 
   mutable Mutex detect_mutex_;
   CondVar detect_cv_;
   std::vector<ProcessId> detections_ CMH_GUARDED_BY(detect_mutex_);
-  bool stopped_ CMH_GUARDED_BY(detect_mutex_){false};
 };
 
 }  // namespace cmh::runtime

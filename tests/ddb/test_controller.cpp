@@ -45,7 +45,7 @@ class Rig {
     return o;
   }
 
-  using TimerFn = Controller::TimerFn;
+  using TimerFn = cmh::TimerFn;
 
   Controller& c(std::uint32_t i) { return *controllers_.at(i); }
 
