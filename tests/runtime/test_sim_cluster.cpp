@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.h"
+#include "graph/generators.h"
 #include "runtime/workload.h"
 
 namespace cmh::runtime {
@@ -135,6 +141,80 @@ TEST(SimClusterStats, TotalsAggregateAcrossProcesses) {
   // each succeed (the paper allows several initiators, section 3.2).
   EXPECT_GE(total.deadlocks_declared, 1u);
   EXPECT_LE(total.deadlocks_declared, 3u);
+}
+
+// ---- large-N sharded waves -----------------------------------------------------------
+
+/// 4,096 processes as 256 disjoint 16-rings on K shards, oracle and auditor
+/// off (the sharded perf configuration).  Three seeded waves each start two
+/// computations per ring, so processes see several initiators and the
+/// first wave's declarations also run the section-5 WFGD traffic.  Folds
+/// the declarations (sorted, since shard workers append concurrently), the
+/// process counters and the simulator counters into one FNV-1a hash.
+std::uint64_t large_ring_waves_hash(std::uint32_t shards) {
+  constexpr std::uint32_t kProcs = 4096;
+  constexpr std::uint32_t kRingLen = 16;
+  constexpr std::uint32_t kRings = kProcs / kRingLen;
+  core::Options options = manual_opts();
+  SimCluster cluster(kProcs, options,
+                     SimClusterConfig{.seed = 77,
+                                      .shards = shards,
+                                      .track_oracle = false,
+                                      .audit = false});
+  issue_scenario(cluster, graph::make_disjoint_rings(kProcs, kRingLen));
+  cluster.run();
+  Rng rng(2024);
+  for (int wave = 0; wave < 3; ++wave) {
+    for (std::uint32_t r = 0; r < kRings; ++r) {
+      for (int k = 0; k < 2; ++k) {
+        const auto member = static_cast<std::uint32_t>(rng.below(kRingLen));
+        cluster.process(ProcessId{r * kRingLen + member}).initiate();
+      }
+    }
+    cluster.run();
+  }
+
+  std::vector<DeadlockEvent> events = cluster.detections();
+  // Every ring declares at least once per wave.
+  EXPECT_GE(events.size(), 3u * kRings);
+  std::sort(events.begin(), events.end(),
+            [](const DeadlockEvent& a, const DeadlockEvent& b) {
+              return std::tie(a.at, a.process, a.tag) <
+                     std::tie(b.at, b.process, b.tag);
+            });
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  for (const DeadlockEvent& e : events) {
+    mix(static_cast<std::uint64_t>(e.at.micros));
+    mix(e.process.value());
+    mix(e.tag.initiator.value());
+    mix(e.tag.sequence);
+  }
+  const core::ProcessStats t = cluster.total_stats();
+  for (const std::uint64_t v :
+       {t.requests_sent, t.replies_sent, t.probes_sent, t.probes_received,
+        t.meaningful_probes, t.computations_initiated, t.deadlocks_declared,
+        t.wfgd_messages_sent, t.wfgd_messages_received}) {
+    mix(v);
+  }
+  const sim::SimStats s = cluster.simulator().stats();
+  for (const std::uint64_t v :
+       {s.messages_sent, s.messages_delivered, s.bytes_sent, s.timers_fired,
+        s.events_processed}) {
+    mix(v);
+  }
+  return h;
+}
+
+TEST(SimClusterSharded, LargeRingWavesHashIsPinned) {
+  // Equal for every shard count; re-record only for a deliberate schedule
+  // change.
+  for (const std::uint32_t k : {1u, 2u, 4u}) {
+    EXPECT_EQ(large_ring_waves_hash(k), 0xa0cb6bf2bb190ac8ULL) << "shards=" << k;
+  }
 }
 
 // ---- workload driver -----------------------------------------------------------------

@@ -13,6 +13,9 @@
 //   * a pinned hash, so a future change that shifts the schedule (even
 //     consistently across K) is caught the same way the golden trace catches
 //     it at K=1.
+// The same cascade at 1,100 nodes pins the large-N path: every source fans
+// out to up to 23 destinations, well past the size where a dense
+// node-by-node channel matrix would stop being practical.
 // Handlers only append to their own node's log, so the parallel runs are
 // race-free by construction -- the same ownership discipline real workloads
 // must follow.
@@ -27,6 +30,7 @@ namespace cmh::sim {
 namespace {
 
 constexpr std::uint32_t kN = 16;
+constexpr std::uint32_t kLargeN = 1100;
 constexpr std::uint64_t kSeed = 0xC0FFEEULL;
 
 // One observed delivery, logged by the receiving node's handler.
@@ -42,15 +46,15 @@ struct TraceResult {
   SimStats stats;
 };
 
-/// Runs the TTL-cascade scenario on K shards and folds the canonical global
-/// delivery order plus the aggregate stats into one hash.
-TraceResult run_traced(std::uint32_t shards) {
+/// Runs the TTL-cascade scenario on `n` nodes and K shards and folds the
+/// canonical global delivery order plus the aggregate stats into one hash.
+TraceResult run_traced(std::uint32_t shards, std::uint32_t n = kN) {
   Simulator sim(kSeed, DelayModel::uniform(SimTime::us(3), SimTime::us(400)),
                 shards);
-  std::vector<std::vector<Obs>> logs(kN);
-  for (std::uint32_t i = 0; i < kN; ++i) sim.add_node({});
-  for (std::uint32_t i = 0; i < kN; ++i) {
-    sim.set_handler(i, [&sim, &logs, i](NodeId from, const Bytes& p) {
+  std::vector<std::vector<Obs>> logs(n);
+  for (std::uint32_t i = 0; i < n; ++i) sim.add_node({});
+  for (std::uint32_t i = 0; i < n; ++i) {
+    sim.set_handler(i, [&sim, &logs, i, n](NodeId from, const Bytes& p) {
       std::uint64_t sum = p.size();
       for (const std::uint8_t b : p) sum = sum * 131 + b;
       logs[i].push_back(Obs{sim.now().micros, from, i, sum});
@@ -59,17 +63,17 @@ TraceResult run_traced(std::uint32_t shards) {
       Bytes fwd(p);
       fwd[0] = static_cast<std::uint8_t>(ttl - 1);
       fwd.push_back(static_cast<std::uint8_t>(i));
-      sim.send(i, (i + 1 + ttl) % kN, fwd);
+      sim.send(i, (i + 1 + ttl) % n, fwd);
       if (ttl % 3 == 0) {
-        sim.schedule(SimTime::us(ttl * 7), [&sim, i, ttl] {
+        sim.schedule(SimTime::us(ttl * 7), [&sim, i, ttl, n] {
           const Bytes extra{static_cast<std::uint8_t>(ttl / 2)};
-          sim.send(i, (i + 2) % kN, extra);
+          sim.send(i, (i + 2) % n, extra);
         });
       }
     });
   }
-  for (std::uint32_t i = 0; i < kN; ++i) {
-    sim.send(i, (i + 1) % kN, Bytes{21, static_cast<std::uint8_t>(i)});
+  for (std::uint32_t i = 0; i < n; ++i) {
+    sim.send(i, (i + 1) % n, Bytes{21, static_cast<std::uint8_t>(i)});
   }
   sim.run();
 
@@ -118,6 +122,16 @@ TEST(ShardedDeterminism, TraceHashIsPinned) {
   // Re-record (like the golden trace) only for a deliberate schedule change.
   EXPECT_EQ(run_traced(1).hash, 0x237ac7576960d91bULL);
   EXPECT_EQ(run_traced(4).hash, 0x237ac7576960d91bULL);
+}
+
+TEST(ShardedDeterminism, LargeNodeCountTraceIsPinned) {
+  // Beyond 1,024 nodes, for every shard count.  Re-record only for a
+  // deliberate schedule change.
+  for (const std::uint32_t k : {1u, 2u, 4u, 8u}) {
+    const TraceResult r = run_traced(k, kLargeN);
+    EXPECT_EQ(r.hash, 0x54ea4b5fb8eacf4bULL) << "shards=" << k;
+    EXPECT_EQ(r.stats.messages_sent, r.stats.messages_delivered);
+  }
 }
 
 TEST(ShardedDeterminism, StepMergeMatchesParallelRun) {
