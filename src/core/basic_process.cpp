@@ -1,7 +1,5 @@
 #include "core/basic_process.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace cmh::core {
@@ -215,11 +213,7 @@ void BasicProcess::mix_state_hash(std::uint64_t& h) const {
   mix(static_cast<std::uint64_t>(declared_) << 1 |
       static_cast<std::uint64_t>(deadlocked_));
 
-  std::vector<std::pair<ProcessId, ComputationState>> comps(
-      computations_.begin(), computations_.end());
-  std::sort(comps.begin(), comps.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [who, st] : comps) {
+  for (const auto& [who, st] : computations_) {
     mix(who.value());
     mix(st.sequence);
     mix(static_cast<std::uint64_t>(st.engaged));
@@ -230,14 +224,9 @@ void BasicProcess::mix_state_hash(std::uint64_t& h) const {
     mix(e.to.value());
   }
   mix(0xE4);
-  std::vector<const decltype(wfgd_sent_)::value_type*> sent;
-  sent.reserve(wfgd_sent_.size());
-  for (const auto& entry : wfgd_sent_) sent.push_back(&entry);
-  std::sort(sent.begin(), sent.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* entry : sent) {
-    mix(entry->first.value());
-    for (const graph::Edge& e : entry->second) {
+  for (const auto& [pred, edges] : wfgd_sent_) {
+    mix(pred.value());
+    for (const graph::Edge& e : edges) {
       mix(e.from.value());
       mix(e.to.value());
     }

@@ -13,15 +13,21 @@
 //   * the set of incoming *black* edges (requests received, replies unsent).
 //
 // Hot-path layout: the edge sets are sorted flat sets (contiguous memory,
-// probe fan-out is a linear scan), probes/requests/replies are encoded on
-// the stack, and variable-size WFGD frames reuse one scratch buffer -- so
-// steady-state probe traffic performs zero heap allocations.
+// probe fan-out is a linear scan) and the per-peer state (computations per
+// initiator, edge epochs, WFGD sets sent) lives in sorted flat maps, so a
+// probe hop is a few binary searches over contiguous arrays, not hash-bucket
+// pointer chases.  Members are ordered hot-first: what handle_probe reads
+// (id, incoming black edges, outgoing edges, computations, sender, stats)
+// shares the leading cache lines, the rest follows.  Probes, requests and
+// replies are encoded on the stack and variable-size WFGD frames reuse one
+// scratch buffer -- so steady-state probe traffic performs zero heap
+// allocations.
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/flat_set.h"
 #include "common/ids.h"
 #include "common/time.h"
@@ -121,8 +127,8 @@ class BasicProcess {
   [[nodiscard]] const ProcessStats& stats() const { return stats_; }
   [[nodiscard]] const Options& options() const { return options_; }
 
-  /// Folds the protocol-relevant state into `h` (order-insensitive for the
-  /// unordered containers: iteration is sorted first).  Used by the
+  /// Folds the protocol-relevant state into `h` (every container iterates
+  /// in ascending key order, so the value is layout-independent).  Used by the
   /// exhaustive interleaving checker (src/check) to fingerprint global
   /// states; excludes stats and the delayed-initiation epochs, which do not
   /// affect future behavior under timer-free exploration.
@@ -145,22 +151,25 @@ class BasicProcess {
   void propagate_wfgd();
   void send_wfgd_set(ProcessId to, const WfgdEdgeSet& edges);
 
+  // ---- hot: read or written on every probe hop ----
   ProcessId id_;
+  EdgeSet in_black_;
+  EdgeSet out_edges_;
+  // Latest computation seen per initiator (§4.3: older tags are ignored).
+  FlatMap<ProcessId, ComputationState> computations_;
   Sender sender_;
+  ProcessStats stats_;
+
+  // ---- cold ----
   Options options_;
   TimerFn timers_;
   DeadlockCallback on_deadlock_;
 
-  EdgeSet out_edges_;
-  EdgeSet in_black_;
   // Bumped every time an outgoing edge to the key is (re)created; lets the
   // delayed-initiation timer detect "existed continuously for T" (§4.3).
-  std::unordered_map<ProcessId, std::uint64_t> out_edge_epoch_;
+  FlatMap<ProcessId, std::uint64_t> out_edge_epoch_;
 
   std::uint64_t next_sequence_{0};
-  // Latest computation seen per initiator (§4.3: older tags are ignored).
-  std::unordered_map<ProcessId, ComputationState> computations_;
-
   bool declared_{false};
   bool deadlocked_{false};
 
@@ -168,12 +177,10 @@ class BasicProcess {
   // Last WFGD edge set sent per predecessor ("never send the same message
   // twice", §5.2).  Sets only grow, so remembering sizes would do, but we
   // keep the full set for clarity and assertion strength.
-  std::unordered_map<ProcessId, WfgdEdgeSet> wfgd_sent_;
+  FlatMap<ProcessId, WfgdEdgeSet> wfgd_sent_;
 
   // Reusable encode buffer for the variable-size WFGD frames.
   Bytes scratch_;
-
-  ProcessStats stats_;
 };
 
 }  // namespace cmh::core

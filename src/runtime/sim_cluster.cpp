@@ -60,25 +60,25 @@ SimCluster::SimCluster(std::uint32_t n, core::Options options,
       }
       if (on_detection_) on_detection_(event);
     });
+    core::BasicProcess* const proc = process.get();
     processes_.push_back(std::move(process));
-    sim_.set_handler(i, [this, id](sim::NodeId from, const Bytes& payload) {
-      on_delivery(id, ProcessId{from}, payload);
+    sim_.set_handler(i, [this, proc](sim::NodeId from, const Bytes& payload) {
+      on_delivery(*proc, ProcessId{from}, payload);
     });
   }
 }
 
-void SimCluster::on_delivery(ProcessId to, ProcessId from,
+void SimCluster::on_delivery(core::BasicProcess& proc, ProcessId from,
                              const Bytes& payload) {
   if (!track_oracle_) {
     // Perf path (and the only shard-safe path): no decode, no global graph,
     // no hooks -- just the process.  Runs concurrently across shards.
-    const auto st = processes_[to.value()]->on_message(from, payload);
+    const auto st = proc.on_message(from, payload);
     if (!st.ok()) throw std::logic_error("on_message: " + st.to_string());
-    if (auditor_) {
-      auditor_->check_local_view(*processes_[to.value()], sim_.now());
-    }
+    if (auditor_) auditor_->check_local_view(proc, sim_.now());
     return;
   }
+  const ProcessId to = proc.id();
   // Oracle transitions happen at delivery instants (G2, G4); decode first to
   // classify, then hand the same bytes to the process.
   auto decoded = core::decode(payload);
@@ -93,13 +93,11 @@ void SimCluster::on_delivery(ProcessId to, ProcessId from,
     const auto st = oracle_.remove(to, from);
     if (!st.ok()) throw std::logic_error("oracle remove: " + st.to_string());
   }
-  const auto st = processes_.at(to.value())->on_message(from, payload);
+  const auto st = proc.on_message(from, payload);
   if (!st.ok()) throw std::logic_error("on_message: " + st.to_string());
   // P3: the receiver's local view must equal the shadow graph's projection
   // now that it has folded in this delivery.
-  if (auditor_) {
-    auditor_->check_local_view(*processes_[to.value()], sim_.now());
-  }
+  if (auditor_) auditor_->check_local_view(proc, sim_.now());
   for (const DeliveryHook& hook : hooks_) hook(to, from, *decoded);
 }
 

@@ -157,7 +157,8 @@ class SimCluster {
     check::InvariantAuditor& auditor_;
   };
 
-  void on_delivery(ProcessId to, ProcessId from, const Bytes& payload);
+  void on_delivery(core::BasicProcess& proc, ProcessId from,
+                   const Bytes& payload);
 
   sim::Simulator sim_;
   bool track_oracle_;

@@ -70,9 +70,8 @@ Simulator::Simulator(std::uint64_t seed, DelayModel delays,
   for (std::uint32_t s = 0; s < shard_count_; ++s) {
     shards_.emplace_back(width_hint);
   }
-  // Single-shard keeps the fully lazy legacy behavior (grow-as-you-go
-  // channel matrix, add_node at any time); multi-shard freezes the
-  // partition at the first event.
+  // Single-shard keeps the fully lazy legacy behavior (add_node at any
+  // time); multi-shard freezes the partition at the first event.
   partition_frozen_ = (shard_count_ == 1);
 }
 
@@ -86,6 +85,7 @@ NodeId Simulator::add_node(MessageHandler handler) {
   }
   nodes_.push_back(std::move(handler));
   timer_seq_.push_back(0);
+  channels_.emplace_back();
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -106,10 +106,6 @@ void Simulator::ensure_partition() {
   // Only reachable with shard_count_ > 1 (single-shard constructs frozen).
   const std::size_t n = nodes_.size();
   shard_block_ = std::max<std::size_t>(1, (n + shard_count_ - 1) / shard_count_);
-  if (n > 0 && n <= kFlatChannelLimit) {
-    channel_stride_ = n;
-    channel_flat_.assign(n * n, ChannelState{});
-  }
   partition_frozen_ = true;
 }
 
@@ -138,48 +134,6 @@ void Simulator::recycle_buffer(ShardState& shard, Bytes&& buffer) {
   if (shard.buffer_pool.size() >= kMaxPooledBuffers) return;
   buffer.clear();  // keeps capacity
   shard.buffer_pool.push_back(std::move(buffer));
-}
-
-Simulator::ChannelState& Simulator::channel_state(NodeId from, NodeId to) {
-  if (nodes_.size() <= kFlatChannelLimit) {
-    if (channel_stride_ < nodes_.size()) {
-      // Single-shard lazy growth (multi-shard pre-sizes at the freeze).
-      // Grow geometrically so repeated add_node/send interleavings stay
-      // O(n^2) total; entries are remapped from the old stride.
-      const std::size_t fresh_stride =
-          std::max<std::size_t>(nodes_.size(), channel_stride_ * 2);
-      std::vector<ChannelState> fresh(fresh_stride * fresh_stride);
-      for (std::size_t f = 0; f < channel_stride_; ++f) {
-        for (std::size_t t = 0; t < channel_stride_; ++t) {
-          fresh[f * fresh_stride + t] = channel_flat_[f * channel_stride_ + t];
-        }
-      }
-      channel_flat_ = std::move(fresh);
-      channel_stride_ = fresh_stride;
-    }
-    return channel_flat_[static_cast<std::size_t>(from) * channel_stride_ + to];
-  }
-  if (!channel_flat_.empty()) migrate_flat_to_spill();
-  return shards_[shard_of(from)].channel_spill[channel_key(from, to)];
-}
-
-void Simulator::migrate_flat_to_spill() {
-  // The node count just crossed kFlatChannelLimit (single-shard only:
-  // multi-shard freezes the node count up front).  Carry live FIFO fronts
-  // and channel counters into the spill maps -- dropping them would both
-  // break per-channel FIFO and rewind the delay counters.
-  for (std::size_t f = 0; f < channel_stride_; ++f) {
-    for (std::size_t t = 0; t < channel_stride_; ++t) {
-      const ChannelState& ch = channel_flat_[f * channel_stride_ + t];
-      if (ch.count != 0 || ch.front != SimTime::zero()) {
-        shards_[shard_of(static_cast<NodeId>(f))]
-            .channel_spill[channel_key(static_cast<NodeId>(f),
-                                       static_cast<NodeId>(t))] = ch;
-      }
-    }
-  }
-  channel_flat_ = std::vector<ChannelState>{};
-  channel_stride_ = 0;
 }
 
 SimTime Simulator::channel_delay(NodeId from, NodeId to,
@@ -227,7 +181,7 @@ void Simulator::send(NodeId from, NodeId to, BytesView payload) {
   ++src.stats.messages_sent;
   src.stats.bytes_sent += payload.size();
 
-  ChannelState& ch = channel_state(from, to);
+  ChannelState& ch = channels_[from][to];
   const SimTime base = in_dispatch ? src.now : now_;
   if (observer_ != nullptr) observer_->on_send(from, to, payload, base);
   SimTime deliver_at = base + channel_delay(from, to, ch.count);
