@@ -69,6 +69,20 @@ TEST_P(OracleProperty, DarkCycleMatchesBruteForce) {
   }
 }
 
+TEST_P(OracleProperty, DeadlockedVerticesMatchBruteForce) {
+  const Scenario s = make_random_walk(9, 250, GetParam() * 3 + 2, 0.55);
+  for (const std::size_t cut :
+       {s.script.size() / 3, 2 * s.script.size() / 3, s.script.size()}) {
+    const WaitForGraph g = replay(s, cut);
+    std::vector<ProcessId> expected;
+    for (const ProcessId v : g.vertices()) {
+      if (brute_on_dark_cycle(g, v)) expected.push_back(v);
+    }
+    EXPECT_EQ(g.deadlocked_vertices(), expected)
+        << "cut " << cut << " seed " << GetParam();
+  }
+}
+
 TEST_P(OracleProperty, BlackPathEdgesMatchBruteForce) {
   const Scenario s = make_random_walk(8, 220, GetParam() * 7 + 1, 0.6);
   const WaitForGraph g = replay(s, s.script.size());
