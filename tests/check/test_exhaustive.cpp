@@ -134,6 +134,34 @@ TEST(Exhaustive, DdbRejectsTimerBasedInitiation) {
   EXPECT_THROW(DdbSystem{scenario}, std::invalid_argument);
 }
 
+TEST(Exhaustive, DdbCrossLockStateSpaceIsPinned) {
+  // The checker hosts the same ddb::Database as ddb::Cluster; these counts
+  // pin the explored state space so a change to that shared core (or to the
+  // harness around it) that alters the model shows up here.
+  DdbSystem sys(ddb_cross_lock());
+  const ExploreResult res = explore(sys);
+  EXPECT_EQ(res.states_visited, 100u) << diagnose(res);
+  EXPECT_EQ(res.transitions_executed, 104u) << diagnose(res);
+  EXPECT_EQ(res.sleep_pruned, 40u) << diagnose(res);
+}
+
+TEST(Exhaustive, DdbRejectsMalformedTransactionIds) {
+  // Transactions are opened through Database::begin(), which hands out
+  // dense ids from 0, each homed at one site.
+  DdbScenario gap = ddb_cross_lock();
+  gap.scripts[1] = {DdbOp::lock(TransactionId{2}, ResourceId{1})};
+  EXPECT_THROW(DdbSystem{gap}, std::invalid_argument);
+
+  DdbScenario shared = ddb_cross_lock();
+  shared.scripts[1].push_back(DdbOp::finish(TransactionId{0}));
+  EXPECT_THROW(DdbSystem{shared}, std::invalid_argument);
+
+  // One site may issue several transactions.
+  DdbScenario two_at_one = ddb_cross_lock();
+  two_at_one.scripts[0].push_back(DdbOp::lock(TransactionId{2}, ResourceId{1}));
+  EXPECT_NO_THROW(DdbSystem{two_at_one});
+}
+
 // ---- seeded bugs: one planted defect per axiom ----------------------------
 
 Bytes request_frame() { return core::encode(core::Message{core::RequestMsg{}}); }
