@@ -131,9 +131,7 @@ void BasicSystem::execute(const Transition& t) {
 
 std::uint64_t BasicSystem::fingerprint() {
   std::uint64_t h = 0x243F6A8885A308D3ULL;  // pi, nothing-up-my-sleeve
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { h = hash_combine(h, v); };
   for (std::uint32_t p = 0; p < scenario_.n; ++p) {
     mix(script_pos_[p]);
     processes_[p]->mix_state_hash(h);

@@ -14,6 +14,13 @@
 
 namespace cmh {
 
+/// Boost-style hash_combine: folds `v` into the running hash `h`.  The
+/// std::hash specializations and every mix_state_hash fingerprint use it.
+[[nodiscard]] constexpr std::uint64_t hash_combine(std::uint64_t h,
+                                                   std::uint64_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
 // CRTP base for an integer-backed strong id.  Provides ordering, hashing
 // support and streaming; arithmetic is deliberately omitted.
 template <typename Tag, typename Rep = std::uint32_t>
@@ -109,18 +116,16 @@ struct hash<cmh::StrongId<Tag, Rep>> {
 template <>
 struct hash<cmh::AgentId> {
   size_t operator()(const cmh::AgentId& a) const noexcept {
-    const auto h1 = std::hash<cmh::TransactionId>{}(a.transaction);
-    const auto h2 = std::hash<cmh::SiteId>{}(a.site);
-    return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
+    return cmh::hash_combine(std::hash<cmh::TransactionId>{}(a.transaction),
+                             std::hash<cmh::SiteId>{}(a.site));
   }
 };
 
 template <>
 struct hash<cmh::ProbeTag> {
   size_t operator()(const cmh::ProbeTag& t) const noexcept {
-    const auto h1 = std::hash<cmh::ProcessId>{}(t.initiator);
-    const auto h2 = std::hash<std::uint64_t>{}(t.sequence);
-    return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
+    return cmh::hash_combine(std::hash<cmh::ProcessId>{}(t.initiator),
+                             std::hash<std::uint64_t>{}(t.sequence));
   }
 };
 

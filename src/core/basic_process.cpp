@@ -201,9 +201,7 @@ void BasicProcess::propagate_wfgd() {
 }
 
 void BasicProcess::mix_state_hash(std::uint64_t& h) const {
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { h = hash_combine(h, v); };
   mix(id_.value());
   for (const ProcessId p : out_edges_) mix(p.value());
   mix(0xE1);  // domain separators between variable-length runs

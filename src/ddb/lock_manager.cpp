@@ -270,9 +270,7 @@ std::vector<TransactionId> LockManager::waiters(ResourceId resource) const {
 }
 
 void LockManager::mix_state_hash(std::uint64_t& h) const {
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
+  const auto mix = [&h](std::uint64_t v) { h = hash_combine(h, v); };
   std::vector<ResourceId> ids;
   ids.reserve(resources_.size());
   for (const auto& [id, rs] : resources_) {

@@ -56,18 +56,16 @@ namespace std {
 template <>
 struct hash<cmh::ddb::DdbProbeTag> {
   size_t operator()(const cmh::ddb::DdbProbeTag& t) const noexcept {
-    const auto h1 = std::hash<cmh::SiteId>{}(t.initiator);
-    const auto h2 = std::hash<std::uint64_t>{}(t.sequence);
-    return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
+    return cmh::hash_combine(std::hash<cmh::SiteId>{}(t.initiator),
+                             std::hash<std::uint64_t>{}(t.sequence));
   }
 };
 
 template <>
 struct hash<cmh::ddb::InterEdge> {
   size_t operator()(const cmh::ddb::InterEdge& e) const noexcept {
-    const auto h1 = std::hash<cmh::AgentId>{}(e.from);
-    const auto h2 = std::hash<cmh::AgentId>{}(e.to);
-    return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
+    return cmh::hash_combine(std::hash<cmh::AgentId>{}(e.from),
+                             std::hash<cmh::AgentId>{}(e.to));
   }
 };
 

@@ -57,9 +57,8 @@ namespace std {
 template <>
 struct hash<cmh::graph::Edge> {
   size_t operator()(const cmh::graph::Edge& e) const noexcept {
-    const auto h1 = std::hash<cmh::ProcessId>{}(e.from);
-    const auto h2 = std::hash<cmh::ProcessId>{}(e.to);
-    return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
+    return cmh::hash_combine(std::hash<cmh::ProcessId>{}(e.from),
+                             std::hash<cmh::ProcessId>{}(e.to));
   }
 };
 }  // namespace std
@@ -130,11 +129,10 @@ class WaitForGraph {
  private:
   [[nodiscard]] const EdgeColor* find(ProcessId from, ProcessId to) const;
 
-  // Vertices reaching / reachable-from via black edges only.
-  [[nodiscard]] std::unordered_set<ProcessId> black_reachable_from(
-      ProcessId v) const;
-  [[nodiscard]] std::unordered_set<ProcessId> black_reaching(
-      ProcessId v) const;
+  // v plus the vertices reachable from v (forward) or reaching v (backward)
+  // over black edges only.
+  [[nodiscard]] std::unordered_set<ProcessId> black_closure(ProcessId v,
+                                                          bool forward) const;
 
   std::unordered_map<ProcessId, std::unordered_map<ProcessId, EdgeColor>>
       out_;
