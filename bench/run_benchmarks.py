@@ -6,8 +6,11 @@ their JSON output to a small, stable schema so successive runs can be
 committed and diffed:
 
     {
-      "schema": "cmh-bench/1",
-      "suite": "micro" | "sim",
+      "schema": "cmh-bench/2",
+      "suite": "micro" | "sim" | "net",
+      "host": {"nproc": ..., "cpu": ..., "mhz_per_cpu": ...,
+               "compiler": ..., "build_type": ...,
+               "benchmark_library_build_type": ...},
       "benchmarks": [
         {"name": ..., "time_ns": ..., "cpu_ns": ...,
          "iterations": ..., "items_per_second": ...},   # last key optional
@@ -15,9 +18,14 @@ committed and diffed:
       ]
     }
 
-Only real benchmark entries survive the reduction -- aggregates such as
-BigO/RMS rows and machine context (hostname, date, CPU caches) are
-dropped, so the schema stays byte-stable apart from the numbers.
+The host stamp says where the numbers came from: nproc, clock and the
+google-benchmark library's build type from google-benchmark's context,
+the CPU model from /proc/cpuinfo, and the compiler and build type of the
+measured tree from its CMake cache.  Numbers from different hosts are not
+comparable.  Only real benchmark entries survive the reduction --
+aggregates such as BigO/RMS rows and volatile context (hostname, date,
+load average, CPU caches) are dropped, so a file stays byte-stable apart
+from the numbers.  cmh-bench/1 files are the same without "host".
 time_ns and cpu_ns are always nanoseconds: google-benchmark reports each
 row in its own time_unit (a ->Unit(benchmark::kMillisecond) row says
 "ms"), and the reduction converts.
@@ -30,7 +38,9 @@ Usage:
 
 --min-time is passed through to --benchmark_min_time (this tree's
 google-benchmark takes a plain double, not the newer "0.01x" form).
---compare prints an old-vs-new table against a previously committed file.
+--compare prints an old-vs-new table against a previously committed file
+(cmh-bench/1 or /2, or raw google-benchmark JSON), and says so when the
+two host stamps differ.
 --fail-on-regress PCT (requires --compare) exits non-zero when any *hot*
 benchmark got more than PCT percent slower than the old file.  Hot
 benchmarks are named with repeated --hot flags (prefix match, so
@@ -76,7 +86,55 @@ def to_ns(entry: dict, key: str) -> float:
     return float(entry[key]) * NS_PER_UNIT[entry.get("time_unit", "ns")]
 
 
-def run_suite(binary: pathlib.Path, min_time: float | None) -> list[dict]:
+def cpu_model() -> str:
+    try:
+        for line in pathlib.Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
+def build_stamp(build_dir: pathlib.Path) -> dict:
+    """Compiler and build type of the measured tree, from its CMake cache."""
+    cache = {}
+    cache_file = build_dir / "CMakeCache.txt"
+    if cache_file.exists():
+        for line in cache_file.read_text().splitlines():
+            key, sep, value = line.partition("=")
+            if sep and ":" in key:
+                cache[key.split(":", 1)[0]] = value
+    compiler = cache.get("CMAKE_CXX_COMPILER", "unknown")
+    # CMake records the detected compiler id and version next to the cache.
+    for info in sorted(build_dir.glob("CMakeFiles/*/CMakeCXXCompiler.cmake")):
+        text = info.read_text()
+        fields = {}
+        for key in ("CMAKE_CXX_COMPILER_ID", "CMAKE_CXX_COMPILER_VERSION"):
+            marker = f'set({key} "'
+            if marker in text:
+                fields[key] = text.split(marker, 1)[1].split('"', 1)[0]
+        if len(fields) == 2:
+            compiler = (f"{fields['CMAKE_CXX_COMPILER_ID']} "
+                        f"{fields['CMAKE_CXX_COMPILER_VERSION']}")
+    return {"compiler": compiler,
+            "build_type": cache.get("CMAKE_BUILD_TYPE") or "unknown"}
+
+
+def host_stamp(context: dict, build: dict) -> dict:
+    return {
+        "nproc": context.get("num_cpus"),
+        "cpu": cpu_model(),
+        "mhz_per_cpu": context.get("mhz_per_cpu"),
+        "compiler": build["compiler"],
+        "build_type": build["build_type"],
+        "benchmark_library_build_type": context.get("library_build_type"),
+    }
+
+
+def run_suite(binary: pathlib.Path,
+              min_time: float | None) -> tuple[dict, list[dict]]:
+    """(google-benchmark context, reduced benchmark rows)."""
     cmd = [str(binary), "--benchmark_format=json"]
     if min_time is not None:
         cmd.append(f"--benchmark_min_time={min_time}")
@@ -97,16 +155,23 @@ def run_suite(binary: pathlib.Path, min_time: float | None) -> list[dict]:
             reduced["items_per_second"] = round(
                 float(entry["items_per_second"]), 1)
         benchmarks.append(reduced)
-    return benchmarks
+    return raw.get("context", {}), benchmarks
 
 
-def write_suite(out_dir: pathlib.Path, suite: str,
+def write_suite(out_dir: pathlib.Path, suite: str, host: dict,
                 benchmarks: list[dict]) -> pathlib.Path:
-    doc = {"schema": "cmh-bench/1", "suite": suite, "benchmarks": benchmarks}
+    doc = {"schema": "cmh-bench/2", "suite": suite, "host": host,
+           "benchmarks": benchmarks}
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"BENCH_{suite}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     return path
+
+
+def load_host(path: pathlib.Path) -> dict | None:
+    """The host stamp of a cmh-bench/2 file; None for /1 or raw output."""
+    doc = json.loads(path.read_text())
+    return doc.get("host") if isinstance(doc, dict) else None
 
 
 def load_times(path: pathlib.Path) -> dict[str, float]:
@@ -171,6 +236,8 @@ def main() -> int:
 
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     old = load_times(args.compare) if args.compare else None
+    old_host = load_host(args.compare) if args.compare else None
+    build = build_stamp(args.build_dir)
     failures: list[str] = []
     for suite in suites:
         binary = args.build_dir / "bench" / SUITES[suite]
@@ -178,10 +245,16 @@ def main() -> int:
             print(f"error: {binary} not built (run cmake --build first)",
                   file=sys.stderr)
             return 1
-        benchmarks = run_suite(binary, args.min_time)
-        path = write_suite(args.out_dir, suite, benchmarks)
+        context, benchmarks = run_suite(binary, args.min_time)
+        host = host_stamp(context, build)
+        path = write_suite(args.out_dir, suite, host, benchmarks)
         print(f"wrote {path} ({len(benchmarks)} benchmarks)")
         if old is not None:
+            if old_host is None:
+                print("note: the old file has no host stamp")
+            elif old_host != host:
+                print(f"note: different hosts; old {json.dumps(old_host)}, "
+                      f"new {json.dumps(host)}")
             print_comparison(old, benchmarks)
             if args.fail_on_regress is not None:
                 failures += find_regressions(old, benchmarks,
