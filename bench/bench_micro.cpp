@@ -15,7 +15,7 @@ namespace {
 using namespace cmh;
 
 void BM_EncodeProbe(benchmark::State& state) {
-  const core::Message msg{core::ProbeMsg{ProbeTag{ProcessId{7}, 123456}}};
+  const core::ProbeMsg msg{ProbeTag{ProcessId{7}, 123456}};
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::encode(msg));
   }
@@ -23,22 +23,23 @@ void BM_EncodeProbe(benchmark::State& state) {
 BENCHMARK(BM_EncodeProbe);
 
 void BM_DecodeProbe(benchmark::State& state) {
-  const Bytes bytes =
-      core::encode(core::Message{core::ProbeMsg{ProbeTag{ProcessId{7}, 1}}});
+  const core::SmallFrame frame =
+      core::encode(core::ProbeMsg{ProbeTag{ProcessId{7}, 1}});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::decode(bytes));
+    benchmark::DoNotOptimize(core::decode(frame.view()));
   }
 }
 BENCHMARK(BM_DecodeProbe);
 
 void BM_EncodeWfgd(benchmark::State& state) {
-  core::WfgdMsg msg;
+  std::vector<graph::Edge> edges;
   for (std::uint32_t i = 0; i < state.range(0); ++i) {
-    msg.edges.push_back(graph::Edge{ProcessId{i}, ProcessId{i + 1}});
+    edges.push_back(graph::Edge{ProcessId{i}, ProcessId{i + 1}});
   }
-  const core::Message m{msg};
+  Bytes scratch;  // reused across iterations, as BasicProcess does
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::encode(m));
+    core::encode_wfgd(edges, scratch);
+    benchmark::DoNotOptimize(scratch.data());
   }
   state.SetComplexityN(state.range(0));
 }
@@ -53,17 +54,16 @@ void BM_ProbeHandling(benchmark::State& state) {
       ProcessId{1},
       [&sink](ProcessId, BytesView b) { sink += b.size(); }, options);
   p.send_request(ProcessId{2});
-  if (!p.on_message(ProcessId{0},
-                    core::encode(core::Message{core::RequestMsg{}}))
+  if (!p.on_message(ProcessId{0}, core::encode(core::RequestMsg{}).view())
            .ok()) {
     state.SkipWithError("request delivery failed");
     return;
   }
   std::uint64_t seq = 0;
   for (auto _ : state) {
-    const Bytes probe = core::encode(
-        core::Message{core::ProbeMsg{ProbeTag{ProcessId{0}, ++seq}}});
-    benchmark::DoNotOptimize(p.on_message(ProcessId{0}, probe));
+    const core::SmallFrame probe =
+        core::encode(core::ProbeMsg{ProbeTag{ProcessId{0}, ++seq}});
+    benchmark::DoNotOptimize(p.on_message(ProcessId{0}, probe.view()));
   }
   benchmark::DoNotOptimize(sink);
 }

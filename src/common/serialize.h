@@ -1,14 +1,17 @@
 // Tiny self-describing binary serialization used for all wire messages.
 //
-// Fixed-width little-endian integers; length-prefixed containers.  Readers
-// return Status on truncation/corruption rather than throwing, because a
-// malformed frame from a peer is a runtime condition, not a bug.
+// Fixed-width little-endian integers.  Readers return Status on
+// truncation/corruption rather than throwing, because a malformed frame from
+// a peer is a runtime condition, not a bug.
 //
-// Two encoder shapes cover the hot paths:
-//   * Writer        -- grows a Bytes buffer; supports scratch-buffer mode so
-//                      steady-state encoders reuse one allocation.
-//   * StackWriter   -- fixed-capacity stack buffer for the small fixed-size
-//                      frames (probes, requests, replies); zero heap use.
+// FieldWriter defines the field layout once (u8/u32/u64/id/agent/probe_tag)
+// over two storages:
+//   * StackWriter -- fixed-capacity stack buffer for the fixed-size frames
+//                    (every message type but the WFGD edge set); zero heap
+//                    use.
+//   * Writer      -- appends to a caller-owned scratch Bytes, cleared up
+//                    front, so an encoder called in a loop with the same
+//                    scratch does zero heap allocation once warmed up.
 // cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #pragma once
 
@@ -16,10 +19,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -65,56 +65,22 @@ inline void store_u64(std::uint8_t* out, std::uint64_t v) {
 
 }  // namespace detail
 
-class Writer {
+/// The wire field layout, written through `Derived::append(p, n)`.
+template <typename Derived>
+class FieldWriter {
  public:
-  /// Owned-buffer mode: bytes accumulate internally; take() moves them out.
-  Writer() : out_(&owned_) {}
-
-  /// Scratch-buffer mode: serializes into `scratch`, which is cleared up
-  /// front but keeps its capacity -- so an encoder called in a loop with the
-  /// same scratch does zero heap allocation once warmed up.
-  explicit Writer(Bytes& scratch) : out_(&scratch) { scratch.clear(); }
-
-  Writer(const Writer&) = delete;
-  Writer& operator=(const Writer&) = delete;
-
-  [[nodiscard]] const Bytes& bytes() const { return *out_; }
-
-  /// Only meaningful in owned-buffer mode.
-  [[nodiscard]] Bytes take() && {
-    assert(out_ == &owned_ && "take() requires owned-buffer mode");
-    return std::move(owned_);
-  }
-
-  /// Pre-sizes the buffer for `n` further bytes (single growth instead of
-  /// one per appended field).
-  void reserve(std::size_t n) { out_->reserve(out_->size() + n); }
-
-  void u8(std::uint8_t v) { out_->push_back(v); }
+  void u8(std::uint8_t v) { self().append(&v, 1); }
 
   void u32(std::uint32_t v) {
     std::uint8_t b[4];
     detail::store_u32(b, v);
-    append(b, 4);
+    self().append(b, 4);
   }
 
   void u64(std::uint64_t v) {
     std::uint8_t b[8];
     detail::store_u64(b, v);
-    append(b, 8);
-  }
-
-  void str(const std::string& s) {
-    if (s.size() > std::numeric_limits<std::uint32_t>::max()) {
-      // A longer string cannot be represented by the u32 length prefix;
-      // silently truncating the length would corrupt the frame.
-      throw std::length_error("Writer::str: string exceeds u32 length prefix");
-    }
-    u32(static_cast<std::uint32_t>(s.size()));
-    // Byte-for-byte copy via the iterator-range overload: char -> uint8_t is
-    // a value conversion (mod 256), identical to the old pointer-aliasing
-    // reinterpret_cast and it keeps this header cast-free.
-    out_->insert(out_->end(), s.begin(), s.end());
+    self().append(b, 8);
   }
 
   template <typename Tag, typename Rep>
@@ -133,19 +99,37 @@ class Writer {
   }
 
  private:
+  Derived& self() { return static_cast<Derived&>(*this); }
+};
+
+/// Serializes into a caller-owned scratch buffer, which is cleared up front
+/// but keeps its capacity.
+class Writer : public FieldWriter<Writer> {
+ public:
+  explicit Writer(Bytes& scratch) : out_(scratch) { scratch.clear(); }
+
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
+  /// Pre-sizes the buffer for `n` further bytes (single growth instead of
+  /// one per appended field).
+  void reserve(std::size_t n) { out_.reserve(out_.size() + n); }
+
+ private:
+  friend class FieldWriter<Writer>;
+
   void append(const std::uint8_t* p, std::size_t n) {
-    out_->insert(out_->end(), p, p + n);
+    out_.insert(out_.end(), p, p + n);
   }
 
-  Bytes owned_;
-  Bytes* out_;
+  Bytes& out_;
 };
 
 /// Fixed-capacity writer backed by a stack array.  Intended for the small
 /// fixed-size frames whose maximum wire size is known at compile time;
 /// overflowing the capacity is a programmer error (asserted in debug).
 template <std::size_t N>
-class StackWriter {
+class StackWriter : public FieldWriter<StackWriter<N>> {
  public:
   static constexpr std::size_t capacity() { return N; }
 
@@ -153,39 +137,15 @@ class StackWriter {
   [[nodiscard]] const std::uint8_t* data() const { return buf_.data(); }
   [[nodiscard]] std::size_t size() const { return len_; }
 
-  void u8(std::uint8_t v) {
-    assert(len_ + 1 <= N);
-    buf_[len_++] = v;
-  }
-
-  void u32(std::uint32_t v) {
-    assert(len_ + 4 <= N);
-    detail::store_u32(buf_.data() + len_, v);
-    len_ += 4;
-  }
-
-  void u64(std::uint64_t v) {
-    assert(len_ + 8 <= N);
-    detail::store_u64(buf_.data() + len_, v);
-    len_ += 8;
-  }
-
-  template <typename Tag, typename Rep>
-  void id(StrongId<Tag, Rep> v) {
-    u32(static_cast<std::uint32_t>(v.value()));
-  }
-
-  void agent(const AgentId& a) {
-    id(a.transaction);
-    id(a.site);
-  }
-
-  void probe_tag(const ProbeTag& t) {
-    id(t.initiator);
-    u64(t.sequence);
-  }
-
  private:
+  friend class FieldWriter<StackWriter<N>>;
+
+  void append(const std::uint8_t* p, std::size_t n) {
+    assert(len_ + n <= N);
+    std::memcpy(buf_.data() + len_, p, n);
+    len_ += n;
+  }
+
   std::array<std::uint8_t, N> buf_{};
   std::size_t len_{0};
 };
@@ -193,8 +153,6 @@ class StackWriter {
 class Reader {
  public:
   explicit Reader(BytesView data) : data_(data.data()), size_(data.size()) {}
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
 
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool done() const { return pos_ == size_; }
@@ -216,23 +174,6 @@ class Reader {
     if (remaining() < 8) return truncated();
     v = detail::load_u64(data_ + pos_);
     pos_ += 8;
-    return Status::Ok();
-  }
-
-  Status str(std::string& s) {
-    std::uint32_t n = 0;
-    if (auto st = u32(n); !st.ok()) return st;
-    // Compare in 64 bits BEFORE any narrowing: a crafted length near 2^32
-    // must be rejected here, never wrapped into a small in-bounds count.
-    if (static_cast<std::uint64_t>(n) >
-        static_cast<std::uint64_t>(remaining())) {
-      return Status{StatusCode::kInvalidArgument,
-                    "str length exceeds remaining bytes"};
-    }
-    // Iterator-range assign: uint8_t -> char value conversion round-trips
-    // with Writer::str exactly; no pointer-type punning needed.
-    s.assign(data_ + pos_, data_ + pos_ + n);
-    pos_ += n;
     return Status::Ok();
   }
 

@@ -26,7 +26,7 @@ void BasicProcess::send_request(ProcessId to) {
   out_edges_.insert(to);
   const std::uint64_t epoch = ++out_edge_epoch_[to];
   ++stats_.requests_sent;
-  sender_(to, encode_small(RequestMsg{}).view());
+  sender_(to, encode(RequestMsg{}).view());
   CMH_LOG(kDebug, "basic") << id_ << " requests " << to;
 
   switch (options_.initiation) {
@@ -59,7 +59,7 @@ void BasicProcess::send_reply(ProcessId to) {
   }
   in_black_.erase(to);
   ++stats_.replies_sent;
-  sender_(to, encode_small(ReplyMsg{}).view());
+  sender_(to, encode(ReplyMsg{}).view());
   CMH_LOG(kDebug, "basic") << id_ << " replies to " << to;
 }
 
@@ -111,7 +111,7 @@ void BasicProcess::send_probes_on_outgoing(const ProbeTag& tag) {
   // Steps A0/A2: one probe along every outgoing edge.  The set cannot change
   // mid-step because callers are serialized per process.  One stack-encoded
   // frame serves the whole fan-out; no heap allocation on this path.
-  const SmallFrame frame = encode_small(ProbeMsg{tag});
+  const SmallFrame frame = encode(ProbeMsg{tag});
   for (const ProcessId to : out_edges_) {
     ++stats_.probes_sent;
     sender_(to, frame.view());
@@ -163,7 +163,7 @@ void BasicProcess::declare_deadlock(const ProbeTag& tag) {
 
 void BasicProcess::send_wfgd_set(ProcessId to, const WfgdEdgeSet& edges) {
   ++stats_.wfgd_messages_sent;
-  encode_into(Message{WfgdMsg{{edges.begin(), edges.end()}}}, scratch_);
+  encode_wfgd({edges.begin(), edges.end()}, scratch_);
   sender_(to, scratch_);
 }
 

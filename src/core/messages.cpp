@@ -2,36 +2,15 @@
 
 namespace cmh::core {
 
-void encode_into(const Message& msg, Bytes& out) {
+void encode_wfgd(std::span<const graph::Edge> edges, Bytes& out) {
   Writer w(out);
-  std::visit(
-      [&w](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, RequestMsg>) {
-          w.u8(wire::kRequest);
-        } else if constexpr (std::is_same_v<T, ReplyMsg>) {
-          w.u8(wire::kReply);
-        } else if constexpr (std::is_same_v<T, ProbeMsg>) {
-          w.reserve(kSmallFrameCapacity);
-          w.u8(wire::kProbe);
-          w.probe_tag(m.tag);
-        } else if constexpr (std::is_same_v<T, WfgdMsg>) {
-          w.reserve(5 + 8 * m.edges.size());
-          w.u8(wire::kWfgd);
-          w.u32(static_cast<std::uint32_t>(m.edges.size()));
-          for (const graph::Edge& e : m.edges) {
-            w.id(e.from);
-            w.id(e.to);
-          }
-        }
-      },
-      msg);
-}
-
-Bytes encode(const Message& msg) {
-  Bytes out;
-  encode_into(msg, out);
-  return out;
+  w.reserve(5 + 8 * edges.size());
+  w.u8(wire::kWfgd);
+  w.u32(static_cast<std::uint32_t>(edges.size()));
+  for (const graph::Edge& e : edges) {
+    w.id(e.from);
+    w.id(e.to);
+  }
 }
 
 Result<Message> decode_slow(BytesView payload) {
@@ -39,20 +18,8 @@ Result<Message> decode_slow(BytesView payload) {
   std::uint8_t type = 0;
   if (auto st = r.u8(type); !st.ok()) return st;
   switch (type) {
-    case wire::kRequest:
-      return Message{RequestMsg{}};
-    case wire::kReply:
-      return Message{ReplyMsg{}};
-    case wire::kProbe: {
-      // Fixed-size frame: one bounds check, then unchecked field reads.
-      if (r.remaining() < kSmallFrameCapacity - 1) {
-        return Status{StatusCode::kInvalidArgument, "truncated message"};
-      }
-      ProbeMsg m;
-      m.tag.initiator = r.id_unchecked<ProcessId>();
-      m.tag.sequence = r.u64_unchecked();
-      return Message{m};
-    }
+    case wire::kProbe:  // decode() takes every complete probe frame
+      return Status{StatusCode::kInvalidArgument, "truncated message"};
     case wire::kWfgd: {
       WfgdMsg m;
       std::uint32_t n = 0;

@@ -6,18 +6,14 @@
 // four travel over the same FIFO channels, which is exactly what makes the
 // process axioms P1/P2 hold.
 //
-// Encoding surfaces, fastest first:
-//   * encode_small() -- stack-encoded frames for the fixed-size types
-//                       (Request/Reply/Probe, <= kSmallFrameCapacity bytes);
-//                       the steady-state probe path heap-allocates nothing.
-//   * encode_into()  -- serializes any Message into a caller-owned scratch
-//                       buffer (capacity reused across calls).
-//   * encode()       -- convenience wrapper returning a fresh Bytes.
-// All three produce byte-identical frames for the same message.
+// encode() returns the fixed-size types (Request/Reply/Probe) as a stack
+// frame; encode_wfgd() writes an edge set into a caller-owned scratch
+// buffer; decode() is the one decoder.  The probe path allocates nothing.
 // cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -60,38 +56,37 @@ inline constexpr std::size_t kSmallFrameCapacity = 13;
 using SmallFrame = StackWriter<kSmallFrameCapacity>;
 
 namespace wire {
-// Wire type tags, shared by the generic and fast-path codecs.
+// Wire type tags: the first byte of every frame.
 inline constexpr std::uint8_t kRequest = 1;
 inline constexpr std::uint8_t kReply = 2;
 inline constexpr std::uint8_t kProbe = 3;
 inline constexpr std::uint8_t kWfgd = 4;
 }  // namespace wire
 
-[[nodiscard]] inline SmallFrame encode_small(const RequestMsg&) {
+[[nodiscard]] inline SmallFrame encode(const RequestMsg&) {
   SmallFrame f;
   f.u8(wire::kRequest);
   return f;
 }
 
-[[nodiscard]] inline SmallFrame encode_small(const ReplyMsg&) {
+[[nodiscard]] inline SmallFrame encode(const ReplyMsg&) {
   SmallFrame f;
   f.u8(wire::kReply);
   return f;
 }
 
-[[nodiscard]] inline SmallFrame encode_small(const ProbeMsg& m) {
+[[nodiscard]] inline SmallFrame encode(const ProbeMsg& m) {
   SmallFrame f;
   f.u8(wire::kProbe);
   f.probe_tag(m.tag);
   return f;
 }
 
-/// Serializes `msg` into `out` (cleared first; capacity retained).
-void encode_into(const Message& msg, Bytes& out);
+/// Serializes the WFGD message carrying `edges` into `out` (cleared first;
+/// capacity retained).
+void encode_wfgd(std::span<const graph::Edge> edges, Bytes& out);
 
-[[nodiscard]] Bytes encode(const Message& msg);
-
-/// Out-of-line decoder: variable-size frames (WFGD) and every error case.
+/// Out-of-line part of decode(): WFGD frames and every malformed frame.
 [[nodiscard]] Result<Message> decode_slow(BytesView payload);
 
 /// Decodes a frame.  The fixed-size types that dominate detection traffic

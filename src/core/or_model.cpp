@@ -10,7 +10,7 @@ namespace {
 enum WireType : std::uint8_t { kSignal = 1, kQuery = 2, kReply = 3 };
 }  // namespace
 
-OrFrame or_encode_small(const OrMessage& msg) {
+OrFrame or_encode(const OrMessage& msg) {
   OrFrame f;
   std::visit(
       [&f](const auto& m) {
@@ -27,11 +27,6 @@ OrFrame or_encode_small(const OrMessage& msg) {
       },
       msg);
   return f;
-}
-
-Bytes or_encode(const OrMessage& msg) {
-  const OrFrame f = or_encode_small(msg);
-  return {f.data(), f.data() + f.size()};
 }
 
 Result<OrMessage> or_decode(BytesView payload) {
@@ -81,7 +76,7 @@ void OrProcess::signal(ProcessId to) {
     throw std::logic_error("OrProcess::signal: blocked processes cannot act");
   }
   ++stats_.signals_sent;
-  sender_(to, or_encode_small(OrMessage{OrSignalMsg{}}).view());
+  sender_(to, or_encode(OrMessage{OrSignalMsg{}}).view());
 }
 
 std::optional<ProbeTag> OrProcess::initiate() {
@@ -101,7 +96,7 @@ std::optional<ProbeTag> OrProcess::initiate() {
 void OrProcess::send_wave(const ProbeTag& tag, Engagement& e) {
   e.awaiting = dependent_set_->size();
   // One stack-encoded frame serves the whole wave.
-  const OrFrame frame = or_encode_small(OrMessage{OrQueryMsg{tag}});
+  const OrFrame frame = or_encode(OrMessage{OrQueryMsg{tag}});
   for (const ProcessId to : *dependent_set_) {
     ++stats_.queries_sent;
     sender_(to, frame.view());
@@ -149,7 +144,7 @@ void OrProcess::handle_query(ProcessId from, const OrQueryMsg& msg) {
       }
       // Later query of an engagement we already serve: reply immediately.
       ++stats_.replies_sent;
-      sender_(from, or_encode_small(OrMessage{OrReplyMsg{msg.tag}}).view());
+      sender_(from, or_encode(OrMessage{OrReplyMsg{msg.tag}}).view());
       return;
     }
   }
@@ -188,7 +183,7 @@ void OrProcess::complete_wave(const ProbeTag& tag, Engagement& e) {
     return;
   }
   ++stats_.replies_sent;
-  sender_(e.engager, or_encode_small(OrMessage{OrReplyMsg{tag}}).view());
+  sender_(e.engager, or_encode(OrMessage{OrReplyMsg{tag}}).view());
 }
 
 }  // namespace cmh::core

@@ -56,8 +56,7 @@ using OrMessage = std::variant<OrSignalMsg, OrQueryMsg, OrReplyMsg>;
 inline constexpr std::size_t kOrFrameCapacity = 13;
 using OrFrame = StackWriter<kOrFrameCapacity>;
 
-[[nodiscard]] OrFrame or_encode_small(const OrMessage& msg);
-[[nodiscard]] Bytes or_encode(const OrMessage& msg);
+[[nodiscard]] OrFrame or_encode(const OrMessage& msg);
 [[nodiscard]] Result<OrMessage> or_decode(BytesView payload);
 
 struct OrStats {

@@ -52,7 +52,7 @@ bool Controller::lock(TransactionId txn, ResourceId resource, LockMode mode) {
   // request is in flight (section 6.4, G3).
   ++pending_remote_[txn][owner];
   ++stats_.remote_requests_sent;
-  send_(owner, encode(RemoteLockRequestMsg{txn, resource, mode}));
+  send_(owner, encode(RemoteLockRequestMsg{txn, resource, mode}).view());
   schedule_block_check(txn);
   return false;
 }
@@ -82,11 +82,11 @@ void Controller::abort(TransactionId txn) {
 }
 
 void Controller::broadcast_purge(const PurgeTxnMsg& msg) {
-  const Bytes frame = encode(msg);  // one encoding, sent to every site
+  const DdbFrame frame = encode(msg);  // one encoding, sent to every site
   for (std::uint32_t s = 0; s < n_sites_; ++s) {
     if (SiteId{s} == id_) continue;
     ++stats_.purges_sent;
-    send_(SiteId{s}, frame);
+    send_(SiteId{s}, frame.view());
   }
 }
 
@@ -132,7 +132,7 @@ void Controller::handle_lock_request(SiteId from,
     }
     // Granted at once: the edge whitens as the grant is sent (G5).
     ++stats_.grants_sent;
-    send_(from, encode(RemoteLockGrantMsg{msg.txn, msg.resource}));
+    send_(from, encode(RemoteLockGrantMsg{msg.txn, msg.resource}).view());
     return;
   }
   // The forwarded request is queued: agent (txn, here) is now blocked on
@@ -168,7 +168,7 @@ void Controller::dispatch_grants(
       if (on_grant_) on_grant_(req.txn, resource);
     } else {
       ++stats_.grants_sent;
-      send_(req.origin, encode(RemoteLockGrantMsg{req.txn, resource}));
+      send_(req.origin, encode(RemoteLockGrantMsg{req.txn, resource}).view());
     }
   }
   // A grant reshuffles the waits-for relation: transactions still queued on
@@ -345,7 +345,7 @@ void Controller::send_probes(
       if (!comp.probes_sent.insert(edge).second) continue;
       ++stats_.probes_sent;
       CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " acq " << edge;
-      send_(site, encode_small(DdbProbeMsg{tag, floor, edge, false}).view());
+      send_(site, encode(DdbProbeMsg{tag, floor, edge, false}).view());
     }
     // Release-wait edges: (txn, here) holds resources acquired on behalf of
     // (txn, origin) and follows that agent's computation.  Without these
@@ -358,7 +358,7 @@ void Controller::send_probes(
       if (!comp.probes_sent.insert(edge).second) continue;
       ++stats_.probes_sent;
       CMH_LOG(kDebug, "ddb") << id_ << " probe " << tag << " rel " << edge;
-      send_(origin, encode_small(DdbProbeMsg{tag, floor, edge, true}).view());
+      send_(origin, encode(DdbProbeMsg{tag, floor, edge, true}).view());
     }
   }
 }

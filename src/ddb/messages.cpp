@@ -1,3 +1,4 @@
+// cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #include "ddb/messages.h"
 
 namespace cmh::ddb {
@@ -9,55 +10,38 @@ enum WireType : std::uint8_t {
   kPurge = 3,
   kProbe = 4,
 };
-
-template <typename W>
-void put_probe(W& w, const DdbProbeMsg& m) {
-  w.u8(kProbe);
-  w.id(m.tag.initiator);
-  w.u64(m.tag.sequence);
-  w.u64(m.floor);
-  w.agent(m.edge.from);
-  w.agent(m.edge.to);
-  w.u8(m.via_release_wait ? 1 : 0);
-}
 }  // namespace
 
-DdbFrame encode_small(const DdbProbeMsg& m) {
+DdbFrame encode(const DdbMessage& msg) {
   DdbFrame f;
-  put_probe(f, m);
-  return f;
-}
-
-void encode_into(const DdbMessage& msg, Bytes& out) {
-  Writer w(out);
-  w.reserve(kDdbFrameCapacity);
   std::visit(
-      [&w](const auto& m) {
+      [&f](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, RemoteLockRequestMsg>) {
-          w.u8(kLockRequest);
-          w.id(m.txn);
-          w.id(m.resource);
-          w.u8(static_cast<std::uint8_t>(m.mode));
+          f.u8(kLockRequest);
+          f.id(m.txn);
+          f.id(m.resource);
+          f.u8(static_cast<std::uint8_t>(m.mode));
         } else if constexpr (std::is_same_v<T, RemoteLockGrantMsg>) {
-          w.u8(kLockGrant);
-          w.id(m.txn);
-          w.id(m.resource);
+          f.u8(kLockGrant);
+          f.id(m.txn);
+          f.id(m.resource);
         } else if constexpr (std::is_same_v<T, PurgeTxnMsg>) {
-          w.u8(kPurge);
-          w.id(m.txn);
-          w.u8(m.aborted ? 1 : 0);
+          f.u8(kPurge);
+          f.id(m.txn);
+          f.u8(m.aborted ? 1 : 0);
         } else if constexpr (std::is_same_v<T, DdbProbeMsg>) {
-          put_probe(w, m);
+          f.u8(kProbe);
+          f.id(m.tag.initiator);
+          f.u64(m.tag.sequence);
+          f.u64(m.floor);
+          f.agent(m.edge.from);
+          f.agent(m.edge.to);
+          f.u8(m.via_release_wait ? 1 : 0);
         }
       },
       msg);
-}
-
-Bytes encode(const DdbMessage& msg) {
-  Bytes out;
-  encode_into(msg, out);
-  return out;
+  return f;
 }
 
 Result<DdbMessage> decode(BytesView payload) {

@@ -7,6 +7,10 @@
 //   ... received                     -- edge gone   (G6)
 // DdbProbeMsg is the detection traffic of section 6.5; PurgeTxnMsg is the
 // deadlock-resolution / commit cleanup channel.
+//
+// Every DDB message is fixed-size: encode() returns a stack frame and
+// decode() is the one decoder.
+// cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 #pragma once
 
 #include <variant>
@@ -65,17 +69,12 @@ using DdbMessage = std::variant<RemoteLockRequestMsg, RemoteLockGrantMsg,
 /// + 8 (floor) + 2*8 (edge endpoints) + 1 (kind).  Every DDB frame fits.
 inline constexpr std::size_t kDdbFrameCapacity = 38;
 
-/// A stack-encoded frame; view() is valid for the frame's lifetime.  The
-/// detection hot path (one probe per inter-controller edge, every round)
-/// heap-allocates nothing.
+/// A stack-encoded frame; view() is valid for the frame's lifetime.  Lock
+/// traffic and the detection hot path (one probe per inter-controller edge,
+/// every round) heap-allocate nothing.
 using DdbFrame = StackWriter<kDdbFrameCapacity>;
 
-[[nodiscard]] DdbFrame encode_small(const DdbProbeMsg& m);
-
-/// Serializes `msg` into `out` (cleared first; capacity retained).
-void encode_into(const DdbMessage& msg, Bytes& out);
-
-[[nodiscard]] Bytes encode(const DdbMessage& msg);
+[[nodiscard]] DdbFrame encode(const DdbMessage& msg);
 [[nodiscard]] Result<DdbMessage> decode(BytesView payload);
 
 }  // namespace cmh::ddb

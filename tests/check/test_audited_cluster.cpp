@@ -28,9 +28,8 @@ SimClusterConfig audited(bool abort_on_violation = true) {
   return config;
 }
 
-Bytes forged_probe() {
-  return core::encode(
-      core::Message{core::ProbeMsg{ProbeTag{ProcessId{1}, 1}}});
+core::SmallFrame forged_probe() {
+  return core::encode(core::ProbeMsg{ProbeTag{ProcessId{1}, 1}});
 }
 
 TEST(AuditedCluster, RingDeadlockRunsCleanUnderAbortModeAudit) {
@@ -74,14 +73,14 @@ TEST(AuditedCluster, ForgedProbeThrowsInAbortMode) {
   SimCluster cluster(2, on_request_options(), audited());
   // A probe along a wait-for edge that does not exist (P1), injected
   // directly at the transport below the process layer.
-  EXPECT_THROW(cluster.simulator().send(1, 0, forged_probe()),
+  EXPECT_THROW(cluster.simulator().send(1, 0, forged_probe().view()),
                check::InvariantViolationError);
 }
 
 TEST(AuditedCluster, ForgedProbeAccumulatesStructuredP1Report) {
   SimCluster cluster(2, on_request_options(),
                      audited(/*abort_on_violation=*/false));
-  cluster.simulator().send(1, 0, forged_probe());
+  cluster.simulator().send(1, 0, forged_probe().view());
   cluster.run();
 
   ASSERT_NE(cluster.auditor(), nullptr);

@@ -164,11 +164,13 @@ TEST(Exhaustive, DdbRejectsMalformedTransactionIds) {
 
 // ---- seeded bugs: one planted defect per axiom ----------------------------
 
-Bytes request_frame() { return core::encode(core::Message{core::RequestMsg{}}); }
-Bytes reply_frame() { return core::encode(core::Message{core::ReplyMsg{}}); }
+Bytes copy(const core::SmallFrame& frame) {
+  return {frame.view().begin(), frame.view().end()};
+}
+Bytes request_frame() { return copy(core::encode(core::RequestMsg{})); }
+Bytes reply_frame() { return copy(core::encode(core::ReplyMsg{})); }
 Bytes probe_frame(ProcessId initiator, std::uint64_t sequence) {
-  return core::encode(
-      core::Message{core::ProbeMsg{ProbeTag{initiator, sequence}}});
+  return copy(core::encode(core::ProbeMsg{ProbeTag{initiator, sequence}}));
 }
 
 void expect_convicts(BasicScenario scenario, Axiom axiom) {

@@ -20,15 +20,19 @@ const ProcessId p2{2};
 
 SimTime at(int step) { return SimTime::us(step); }
 
-Bytes request_frame() { return core::encode(core::Message{core::RequestMsg{}}); }
-Bytes reply_frame() { return core::encode(core::Message{core::ReplyMsg{}}); }
+Bytes copy(const core::SmallFrame& frame) {
+  return {frame.view().begin(), frame.view().end()};
+}
+Bytes request_frame() { return copy(core::encode(core::RequestMsg{})); }
+Bytes reply_frame() { return copy(core::encode(core::ReplyMsg{})); }
 Bytes probe_frame(ProcessId initiator, std::uint64_t sequence) {
-  return core::encode(
-      core::Message{core::ProbeMsg{ProbeTag{initiator, sequence}}});
+  return copy(core::encode(core::ProbeMsg{ProbeTag{initiator, sequence}}));
 }
 Bytes wfgd_frame() {
-  return core::encode(
-      core::Message{core::WfgdMsg{{graph::Edge{p0, p1}}}});
+  const graph::Edge edge{p0, p1};
+  Bytes out;
+  core::encode_wfgd({&edge, 1}, out);
+  return out;
 }
 
 AuditorConfig accumulate() {

@@ -192,8 +192,8 @@ TEST(Probe, MeaninglessProbeDropped) {
   auto& p1 = rig.p(1);
   // Simulate out-of-order by delivering only the probe bytes.
   // Build the probe payload directly:
-  const Bytes probe = encode(Message{ProbeMsg{*tag}});
-  ASSERT_TRUE(p1.on_message(ProcessId{0}, probe).ok());
+  const SmallFrame probe = encode(ProbeMsg{*tag});
+  ASSERT_TRUE(p1.on_message(ProcessId{0}, probe.view()).ok());
   EXPECT_EQ(p1.stats().probes_received, 1u);
   EXPECT_EQ(p1.stats().meaningful_probes, 0u);
   EXPECT_EQ(p1.stats().probes_sent, 0u);
@@ -257,9 +257,9 @@ TEST(Probe, StaleComputationIgnored) {
   rig.deliver_all();
   EXPECT_TRUE(rig.p(0).declared_deadlock());
   // p1 engaged with (0, n2); a late probe of (0, n1) must be dropped.
-  const Bytes stale = encode(Message{ProbeMsg{*tag1}});
+  const SmallFrame stale = encode(ProbeMsg{*tag1});
   const auto forwarded_before = rig.p(1).stats().probes_sent;
-  ASSERT_TRUE(rig.p(1).on_message(ProcessId{0}, stale).ok());
+  ASSERT_TRUE(rig.p(1).on_message(ProcessId{0}, stale.view()).ok());
   EXPECT_EQ(rig.p(1).stats().probes_sent, forwarded_before);
 }
 

@@ -25,21 +25,21 @@ const ProcessId p3{3};
 // ---- codec -----------------------------------------------------------------------
 
 TEST(OrCodec, SignalRoundTrip) {
-  const auto m = core::or_decode(core::or_encode(OrMessage{OrSignalMsg{}}));
+  const auto m = core::or_decode(core::or_encode(OrMessage{OrSignalMsg{}}).view());
   ASSERT_TRUE(m.ok());
   EXPECT_TRUE(std::holds_alternative<OrSignalMsg>(*m));
 }
 
 TEST(OrCodec, QueryRoundTrip) {
   const OrQueryMsg q{ProbeTag{ProcessId{9}, 77}};
-  const auto m = core::or_decode(core::or_encode(OrMessage{q}));
+  const auto m = core::or_decode(core::or_encode(OrMessage{q}).view());
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(std::get<OrQueryMsg>(*m).tag, q.tag);
 }
 
 TEST(OrCodec, ReplyRoundTrip) {
   const OrReplyMsg r{ProbeTag{ProcessId{3}, 5}};
-  const auto m = core::or_decode(core::or_encode(OrMessage{r}));
+  const auto m = core::or_decode(core::or_encode(OrMessage{r}).view());
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(std::get<OrReplyMsg>(*m).tag, r.tag);
 }

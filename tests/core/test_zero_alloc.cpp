@@ -1,6 +1,7 @@
-// Allocation accounting for the steady-state hot paths.  The overhaul's
-// contract: once warmed up, probe encode/handle/forward at a process and
-// message traffic through the simulator perform ZERO heap allocations.
+// Allocation accounting for the steady-state hot paths.  The contract: once
+// warmed up, probe encode/handle/forward at a process, WFGD encoding into a
+// reused scratch buffer and message traffic through the simulator perform
+// ZERO heap allocations.
 // A counting global operator new makes that an assertable property instead
 // of a benchmark anecdote.  (The override is binary-wide but only counts;
 // it delegates to malloc/free.)
@@ -8,6 +9,7 @@
 
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "core/basic_process.h"
@@ -45,13 +47,13 @@ TEST(ZeroAlloc, SteadyStateProbeEncodeHandleForward) {
       options);
   p.send_request(ProcessId{2});  // outgoing edge: probes will forward
   ASSERT_TRUE(
-      p.on_message(ProcessId{0}, encode(Message{RequestMsg{}})).ok());
+      p.on_message(ProcessId{0}, encode(RequestMsg{}).view()).ok());
 
   // Warm-up: first probe of an initiator creates its computation record.
   std::uint64_t seq = 0;
   for (int i = 0; i < 16; ++i) {
     const SmallFrame probe =
-        encode_small(ProbeMsg{ProbeTag{ProcessId{0}, ++seq}});
+        encode(ProbeMsg{ProbeTag{ProcessId{0}, ++seq}});
     ASSERT_TRUE(p.on_message(ProcessId{0}, probe.view()).ok());
   }
 
@@ -62,7 +64,7 @@ TEST(ZeroAlloc, SteadyStateProbeEncodeHandleForward) {
   bool all_ok = true;
   for (int i = 0; i < 10000; ++i) {
     const SmallFrame probe =
-        encode_small(ProbeMsg{ProbeTag{ProcessId{0}, ++seq}});
+        encode(ProbeMsg{ProbeTag{ProcessId{0}, ++seq}});
     all_ok &= p.on_message(ProcessId{0}, probe.view()).ok();
   }
   const std::size_t allocations = g_alloc_count - before;
@@ -85,7 +87,7 @@ TEST(ZeroAlloc, SteadyStateProbesFromManyInitiators) {
       options);
   p.send_request(ProcessId{2});
   ASSERT_TRUE(
-      p.on_message(ProcessId{0}, encode(Message{RequestMsg{}})).ok());
+      p.on_message(ProcessId{0}, encode(RequestMsg{}).view()).ok());
 
   constexpr std::uint32_t kInitiators = 16;
   const auto initiator = [](std::uint64_t i) {
@@ -93,14 +95,14 @@ TEST(ZeroAlloc, SteadyStateProbesFromManyInitiators) {
   };
   std::uint64_t seq = 0;
   for (std::uint32_t i = 0; i < 4 * kInitiators; ++i) {
-    const SmallFrame probe = encode_small(ProbeMsg{ProbeTag{initiator(i), ++seq}});
+    const SmallFrame probe = encode(ProbeMsg{ProbeTag{initiator(i), ++seq}});
     ASSERT_TRUE(p.on_message(ProcessId{0}, probe.view()).ok());
   }
 
   const std::size_t before = g_alloc_count;
   bool all_ok = true;
   for (std::uint32_t i = 0; i < 10000; ++i) {
-    const SmallFrame probe = encode_small(ProbeMsg{ProbeTag{initiator(i), ++seq}});
+    const SmallFrame probe = encode(ProbeMsg{ProbeTag{initiator(i), ++seq}});
     all_ok &= p.on_message(ProcessId{0}, probe.view()).ok();
   }
   const std::size_t allocations = g_alloc_count - before;
@@ -109,6 +111,29 @@ TEST(ZeroAlloc, SteadyStateProbesFromManyInitiators) {
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(p.stats().probes_sent, 10000u + 4 * kInitiators);
   EXPECT_GT(sink, 0u);
+}
+
+TEST(ZeroAlloc, SteadyStateWfgdEncodeIntoScratch) {
+  // Section-5 edge sets of every size up to 64 edges, encoded into one
+  // scratch buffer that has already held the largest of them.
+  std::vector<graph::Edge> edges;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    edges.push_back(graph::Edge{ProcessId{i}, ProcessId{i + 1}});
+  }
+  Bytes scratch;
+  encode_wfgd(edges, scratch);
+
+  const std::size_t before = g_alloc_count;
+  std::size_t encoded = 0;
+  for (std::size_t i = 0; i < 10000; ++i) {
+    encode_wfgd(std::span(edges).first(1 + i % edges.size()), scratch);
+    encoded += scratch.size();
+  }
+  const std::size_t allocations = g_alloc_count - before;
+
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(scratch.size(), 5u + 8u * (1 + 9999 % edges.size()));
+  EXPECT_GT(encoded, 0u);
 }
 
 TEST(ZeroAlloc, SteadyStateSimulatorTraffic) {
@@ -122,7 +147,7 @@ TEST(ZeroAlloc, SteadyStateSimulatorTraffic) {
   };
   sim.set_handler(a, forward);
   sim.set_handler(b, forward);
-  const SmallFrame probe = encode_small(ProbeMsg{ProbeTag{ProcessId{0}, 1}});
+  const SmallFrame probe = encode(ProbeMsg{ProbeTag{ProcessId{0}, 1}});
   sim.send(a, b, probe.view());
 
   // Warm-up: slab, queue, channel matrix and buffer pool reach capacity.
@@ -152,7 +177,7 @@ TEST(ZeroAlloc, SteadyStateSimulatorTrafficBeyond1024Nodes) {
       sim.send(i, (i + step) % kNodes, payload);
     });
   }
-  const SmallFrame probe = encode_small(ProbeMsg{ProbeTag{ProcessId{0}, 1}});
+  const SmallFrame probe = encode(ProbeMsg{ProbeTag{ProcessId{0}, 1}});
   for (std::uint32_t t = 0; t < 64; ++t) {
     sim.send(t * (kNodes / 64), t * (kNodes / 64) + 1, probe.view());
   }

@@ -5,10 +5,15 @@
 namespace cmh::ddb {
 namespace {
 
+Bytes encoded(const DdbMessage& msg) {
+  const DdbFrame frame = encode(msg);
+  return {frame.view().begin(), frame.view().end()};
+}
+
 TEST(DdbMessages, LockRequestRoundTrip) {
   const RemoteLockRequestMsg msg{TransactionId{5}, ResourceId{9},
                                  LockMode::kWrite};
-  const auto m = decode(encode(DdbMessage{msg}));
+  const auto m = decode(encoded(DdbMessage{msg}));
   ASSERT_TRUE(m.ok());
   const auto* got = std::get_if<RemoteLockRequestMsg>(&*m);
   ASSERT_NE(got, nullptr);
@@ -18,7 +23,7 @@ TEST(DdbMessages, LockRequestRoundTrip) {
 }
 
 TEST(DdbMessages, LockRequestReadMode) {
-  const auto m = decode(encode(
+  const auto m = decode(encoded(
       DdbMessage{RemoteLockRequestMsg{TransactionId{1}, ResourceId{2},
                                       LockMode::kRead}}));
   ASSERT_TRUE(m.ok());
@@ -27,7 +32,7 @@ TEST(DdbMessages, LockRequestReadMode) {
 
 TEST(DdbMessages, GrantRoundTrip) {
   const auto m = decode(
-      encode(DdbMessage{RemoteLockGrantMsg{TransactionId{3}, ResourceId{4}}}));
+      encoded(DdbMessage{RemoteLockGrantMsg{TransactionId{3}, ResourceId{4}}}));
   ASSERT_TRUE(m.ok());
   const auto& got = std::get<RemoteLockGrantMsg>(*m);
   EXPECT_EQ(got.txn, TransactionId{3});
@@ -37,7 +42,7 @@ TEST(DdbMessages, GrantRoundTrip) {
 TEST(DdbMessages, PurgeRoundTrip) {
   for (const bool aborted : {false, true}) {
     const auto m =
-        decode(encode(DdbMessage{PurgeTxnMsg{TransactionId{8}, aborted}}));
+        decode(encoded(DdbMessage{PurgeTxnMsg{TransactionId{8}, aborted}}));
     ASSERT_TRUE(m.ok());
     EXPECT_EQ(std::get<PurgeTxnMsg>(*m).aborted, aborted);
     EXPECT_EQ(std::get<PurgeTxnMsg>(*m).txn, TransactionId{8});
@@ -52,7 +57,7 @@ TEST(DdbMessages, ProbeRoundTrip) {
     probe.edge = InterEdge{AgentId{TransactionId{5}, SiteId{2}},
                            AgentId{TransactionId{5}, SiteId{3}}};
     probe.via_release_wait = release_wait;
-    const auto m = decode(encode(DdbMessage{probe}));
+    const auto m = decode(encoded(DdbMessage{probe}));
     ASSERT_TRUE(m.ok());
     const auto& got = std::get<DdbProbeMsg>(*m);
     EXPECT_EQ(got.tag, probe.tag);
@@ -69,14 +74,14 @@ TEST(DdbMessages, UnknownTypeRejected) {
 }
 
 TEST(DdbMessages, BadLockModeRejected) {
-  Bytes b = encode(DdbMessage{
+  Bytes b = encoded(DdbMessage{
       RemoteLockRequestMsg{TransactionId{1}, ResourceId{1}, LockMode::kRead}});
   b.back() = 7;  // corrupt the mode byte
   EXPECT_FALSE(decode(b).ok());
 }
 
 TEST(DdbMessages, TruncatedProbeRejected) {
-  Bytes b = encode(DdbMessage{DdbProbeMsg{}});
+  Bytes b = encoded(DdbMessage{DdbProbeMsg{}});
   b.resize(b.size() / 2);
   EXPECT_FALSE(decode(b).ok());
 }

@@ -213,7 +213,7 @@ TEST(ThreadedCluster, StopRefusedInHandlerChangesNothing) {
   ASSERT_TRUE(eventually([&] { return refused.load(); }));
 
   cluster.stop();
-  transport.send(0, 1, core::encode_small(core::ReplyMsg{}).view());
+  transport.send(0, 1, core::encode(core::ReplyMsg{}).view());
   std::this_thread::sleep_for(50ms);
   EXPECT_EQ(delivered.load(), 1);  // the frame sent after stop() is dropped
 }
