@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "graph/cycles.h"
 
 namespace cmh::ddb {
 
@@ -293,45 +294,12 @@ std::size_t Controller::check_all() {
   return initiated;
 }
 
-bool Controller::detect_local_cycles() {
-  // Find a vertex on an intra-edge cycle (if any) with iterative DFS
-  // coloring; declare the entry vertex of the first back edge found.
-  std::unordered_map<TransactionId, std::vector<TransactionId>> adj;
-  std::set<TransactionId> nodes;
-  for (const auto& [w, b] : locks_.wait_edges()) {
-    adj[w].push_back(b);
-    nodes.insert(w);
-    nodes.insert(b);
+void Controller::detect_local_cycles() {
+  // One declaration per cycle of intra edges: its lowest transaction.
+  for (const auto& cycle : graph::cyclic_components(locks_.wait_edges())) {
+    ++stats_.local_cycle_detections;
+    declare(cycle.front(), DdbProbeTag{id_, ++next_sequence_});
   }
-  std::unordered_map<TransactionId, int> state;  // 0 new, 1 open, 2 done
-  bool found = false;
-  for (const TransactionId root : nodes) {
-    if (state[root] != 0) continue;
-    // Iterative DFS with explicit stack of (node, next-child-index).
-    std::vector<std::pair<TransactionId, std::size_t>> stack{{root, 0}};
-    state[root] = 1;
-    while (!stack.empty()) {
-      auto& [u, idx] = stack.back();
-      auto& children = adj[u];
-      if (idx >= children.size()) {
-        state[u] = 2;
-        stack.pop_back();
-        continue;
-      }
-      const TransactionId v = children[idx++];
-      if (state[v] == 1) {
-        // Back edge: v is on a cycle of intra-controller edges.
-        ++stats_.local_cycle_detections;
-        declare(v, DdbProbeTag{id_, ++next_sequence_});
-        found = true;
-        state[v] = 2;  // avoid re-declaring the same cycle entry
-      } else if (state[v] == 0) {
-        state[v] = 1;
-        stack.emplace_back(v, 0);
-      }
-    }
-  }
-  return found;
 }
 
 void Controller::send_probes(

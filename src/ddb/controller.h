@@ -220,8 +220,8 @@ class Controller {
   /// Lowest still-live sequence of this controller's own computations.
   [[nodiscard]] std::uint64_t current_floor();
 
-  /// Any cycle among intra edges?  Declares every process on one.
-  bool detect_local_cycles();
+  /// Declares the lowest transaction of each cycle among intra edges.
+  void detect_local_cycles();
 
   SiteId id_;
   std::uint32_t n_sites_;

@@ -1,6 +1,7 @@
 // Cycle membership in a directed graph -- the one cycle search behind every
-// global deadlock oracle: WaitForGraph::deadlocked_vertices(), the DDB
-// transaction-wait oracle and the auditor's QRP1 check.
+// global deadlock oracle (WaitForGraph::deadlocked_vertices(), the DDB
+// transaction-wait oracle, the auditor's QRP1 check) and the DDB
+// controller's local-cycle sweep.
 #pragma once
 
 #include <algorithm>
@@ -11,12 +12,13 @@
 
 namespace cmh::graph {
 
-/// The vertices lying on a cycle of the directed graph with edge list
-/// `edges` -- a strongly connected component of two or more vertices, or a
-/// self-loop -- sorted ascending.  The ids are renumbered densely (a sort,
-/// O(E log E)); the search itself is Tarjan's, iterative and linear.
+/// The cyclic components of the directed graph with edge list `edges` --
+/// strongly connected components of two or more vertices, and self-loops --
+/// each sorted ascending, ordered by their lowest vertex.  The ids are
+/// renumbered densely (a sort, O(E log E)); the search itself is Tarjan's,
+/// iterative and linear.
 template <class Id>
-[[nodiscard]] std::vector<Id> vertices_on_cycles(
+[[nodiscard]] std::vector<std::vector<Id>> cyclic_components(
     const std::vector<std::pair<Id, Id>>& edges) {
   std::vector<Id> ids;
   for (const auto& [from, to] : edges) ids.insert(ids.end(), {from, to});
@@ -32,7 +34,8 @@ template <class Id>
 
   constexpr auto kUnseen = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> index(n, kUnseen), low(n), open;
-  std::vector<bool> is_open(n), cyclic(n);
+  std::vector<bool> is_open(n), self_loop(n);
+  std::vector<std::vector<std::uint32_t>> components;
   std::vector<std::pair<std::uint32_t, std::size_t>> calls;  // (v, next edge)
   std::uint32_t next_index = 0;
   for (std::uint32_t root = 0; root < n; ++root) {
@@ -47,7 +50,7 @@ template <class Id>
       if (e < adj[v].size()) {
         ++calls.back().second;
         const std::uint32_t w = adj[v][e];
-        if (w == v) cyclic[v] = true;
+        if (w == v) self_loop[v] = true;
         if (index[w] == kUnseen) {
           calls.emplace_back(w, 0);
         } else if (is_open[w]) {
@@ -63,17 +66,33 @@ template <class Id>
       if (low[v] != index[v]) continue;
       // v roots a strongly connected component: the open stack from v up.
       const auto first = std::find(open.rbegin(), open.rend(), v).base() - 1;
-      for (auto it = first; it != open.end(); ++it) {
-        is_open[*it] = false;
-        if (open.end() - first > 1) cyclic[*it] = true;
+      for (auto it = first; it != open.end(); ++it) is_open[*it] = false;
+      if (open.end() - first > 1 || self_loop[v]) {
+        components.emplace_back(first, open.end());
+        std::sort(components.back().begin(), components.back().end());
       }
       open.erase(first, open.end());
     }
   }
-  std::vector<Id> result;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (cyclic[v]) result.push_back(ids[v]);
+  std::sort(components.begin(), components.end());
+  std::vector<std::vector<Id>> result;
+  for (const auto& component : components) {
+    auto& out = result.emplace_back();
+    for (const std::uint32_t v : component) out.push_back(ids[v]);
   }
+  return result;
+}
+
+/// The vertices lying on a cycle of the directed graph with edge list
+/// `edges`: the union of its cyclic components, sorted ascending.
+template <class Id>
+[[nodiscard]] std::vector<Id> vertices_on_cycles(
+    const std::vector<std::pair<Id, Id>>& edges) {
+  std::vector<Id> result;
+  for (const auto& component : cyclic_components(edges)) {
+    result.insert(result.end(), component.begin(), component.end());
+  }
+  std::sort(result.begin(), result.end());
   return result;
 }
 

@@ -359,6 +359,29 @@ TEST(ControllerProbe, LocalCycleDeclaredWithoutMessages) {
   EXPECT_EQ(rig.c(0).stats().local_cycle_detections, 1u);
 }
 
+TEST(ControllerProbe, LocalSweepDeclaresLowestOfEachCycleOnce) {
+  // Intra edges 1 -> 3 -> 2 -> 3: one local deadlock, {2, 3}, with t1
+  // waiting on it from outside.  The sweep declares its lowest member once.
+  Rig rig(1);
+  const TransactionId t3{3};
+  const ResourceId ra{0}, rb{1}, rc{2};
+  ASSERT_TRUE(rig.c(0).lock(t3, ra, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(0).lock(t2, rb, LockMode::kWrite));
+  ASSERT_TRUE(rig.c(0).lock(t3, rc, LockMode::kWrite));
+  rig.c(0).lock(t1, ra, LockMode::kWrite);
+  rig.c(0).lock(t3, rb, LockMode::kWrite);
+  rig.c(0).lock(t2, rc, LockMode::kWrite);
+  using Edge = std::pair<TransactionId, TransactionId>;
+  ASSERT_EQ(rig.c(0).intra_edges(),
+            (std::vector<Edge>{{t1, t3}, {t2, t3}, {t3, t2}}));
+
+  EXPECT_EQ(rig.c(0).check_all(), 0u);
+  ASSERT_EQ(rig.declared().size(), 1u);
+  EXPECT_EQ(rig.declared()[0].victim, t2);
+  EXPECT_EQ(rig.c(0).stats().local_cycle_detections, 1u);
+  EXPECT_EQ(rig.c(0).stats().probes_sent, 0u);
+}
+
 TEST(ControllerProbe, CheckAllQSetListsForwardedWaiters) {
   Rig rig(2);
   ResourceId rA, rB;

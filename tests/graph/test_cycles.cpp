@@ -57,5 +57,21 @@ TEST(Cycles, SparseIdsComeBackSorted) {
             (std::vector<std::string>{"b", "d", "z"}));
 }
 
+TEST(Cycles, ComponentsAreSortedAndOrderedByLowestVertex) {
+  // {5,7} found first by the search, then {1,2,3} and the self-loop {4};
+  // 0 and 6 only lead into cycles.
+  EXPECT_EQ(cyclic_components(Edges{{7, 5},
+                                    {5, 7},
+                                    {6, 5},
+                                    {0, 3},
+                                    {3, 2},
+                                    {2, 1},
+                                    {1, 3},
+                                    {4, 4},
+                                    {2, 4}}),
+            (std::vector<Ids>{{1, 2, 3}, {4}, {5, 7}}));
+  EXPECT_TRUE(cyclic_components(Edges{{0, 1}, {1, 2}}).empty());
+}
+
 }  // namespace
 }  // namespace cmh::graph
