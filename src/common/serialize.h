@@ -119,7 +119,9 @@ class Writer : public FieldWriter<Writer> {
   friend class FieldWriter<Writer>;
 
   void append(const std::uint8_t* p, std::size_t n) {
-    out_.insert(out_.end(), p, p + n);
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    std::memcpy(out_.data() + at, p, n);
   }
 
   Bytes& out_;
@@ -131,8 +133,6 @@ class Writer : public FieldWriter<Writer> {
 template <std::size_t N>
 class StackWriter : public FieldWriter<StackWriter<N>> {
  public:
-  static constexpr std::size_t capacity() { return N; }
-
   [[nodiscard]] BytesView view() const { return {buf_.data(), len_}; }
   [[nodiscard]] const std::uint8_t* data() const { return buf_.data(); }
   [[nodiscard]] std::size_t size() const { return len_; }
