@@ -6,6 +6,7 @@
 
 #include "core/basic_process.h"
 #include "core/messages.h"
+#include "ddb/controller.h"
 #include "ddb/lock_manager.h"
 #include "graph/generators.h"
 #include "graph/wait_for_graph.h"
@@ -68,6 +69,52 @@ void BM_ProbeHandling(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_ProbeHandling);
+
+void BM_DdbProbeHandling(benchmark::State& state) {
+  // The section-6 counterpart: one meaningful probe receipt at DDB
+  // controller S0 of three, which labels {B, A, D} and forwards along A's
+  // release-wait edge and D's acquisition edge.  D (home S0) holds r3 and
+  // awaits r1 from S1; A holds r0 for (A, S1) and queues on r3; B queues
+  // on r0 from S2.  Each probe is a fresh computation of initiator S2 whose
+  // floor prunes the older ones, as in a long-lived controller.
+  ddb::DdbOptions options;
+  options.initiation = ddb::DdbInitiation::kManual;
+  options.abort_victim = false;
+  std::uint64_t sink = 0;
+  ddb::Controller c(
+      SiteId{0}, 3, [&sink](SiteId, BytesView b) { sink += b.size(); },
+      [](ResourceId r) { return SiteId{r.value() % 3}; }, options, TimerFn{});
+  const TransactionId a{1}, b{2}, d{4};
+  const auto request = [&](SiteId from, TransactionId t, ResourceId r) {
+    return c.on_message(
+        from,
+        ddb::encode(ddb::RemoteLockRequestMsg{t, r, ddb::LockMode::kWrite})
+            .view());
+  };
+  (void)c.lock(d, ResourceId{3}, ddb::LockMode::kWrite);
+  (void)c.lock(d, ResourceId{1}, ddb::LockMode::kWrite);
+  if (!request(SiteId{1}, a, ResourceId{0}).ok() ||
+      !request(SiteId{1}, a, ResourceId{3}).ok() ||
+      !request(SiteId{2}, b, ResourceId{0}).ok()) {
+    state.SkipWithError("lock request delivery failed");
+    return;
+  }
+  const ddb::InterEdge entry{AgentId{b, SiteId{2}}, AgentId{b, SiteId{0}}};
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    ++seq;
+    const ddb::DdbFrame probe = ddb::encode(ddb::DdbProbeMsg{
+        ddb::DdbProbeTag{SiteId{2}, seq}, seq > 4 ? seq - 4 : 1, entry,
+        false});
+    benchmark::DoNotOptimize(c.on_message(SiteId{2}, probe.view()));
+  }
+  if (c.stats().meaningful_probes != seq ||
+      c.stats().probes_sent != 2 * seq) {
+    state.SkipWithError("probes were not meaningful or not forwarded");
+  }
+  benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_DdbProbeHandling);
 
 void BM_LockAcquireRelease(benchmark::State& state) {
   ddb::LockManager lm;

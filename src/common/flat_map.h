@@ -31,12 +31,36 @@ class FlatMap {
   /// The value stored under `key`; a value-initialized one is inserted at
   /// its sorted position first if the key is absent (std::map semantics).
   V& operator[](const K& key) {
-    auto pos =
-        std::lower_bound(entries_.begin(), entries_.end(), key, KeyLess{});
+    auto pos = lower_bound_mut(key);
     if (pos == entries_.end() || pos->first != key) {
       pos = entries_.emplace(pos, key, V{});
     }
     return pos->second;
+  }
+
+  /// The value stored under `key`, or nullptr if the key is absent.
+  [[nodiscard]] V* find(const K& key) {
+    const auto pos = lower_bound_mut(key);
+    return pos != entries_.end() && pos->first == key ? &pos->second : nullptr;
+  }
+
+  /// First entry whose key is not less than `key`.
+  [[nodiscard]] const_iterator lower_bound(const K& key) const {
+    return std::lower_bound(entries_.begin(), entries_.end(), key, KeyLess{});
+  }
+
+  /// Removes `key`'s entry; returns false if the key is absent.
+  bool erase(const K& key) {
+    const auto pos = lower_bound_mut(key);
+    if (pos == entries_.end() || pos->first != key) return false;
+    entries_.erase(pos);
+    return true;
+  }
+
+  /// Removes every entry matching `pred`; returns how many were removed.
+  template <typename Pred>
+  std::size_t erase_if(Pred pred) {
+    return std::erase_if(entries_, pred);
   }
 
  private:
@@ -45,6 +69,10 @@ class FlatMap {
       return e.first < k;
     }
   };
+
+  typename std::vector<value_type>::iterator lower_bound_mut(const K& key) {
+    return std::lower_bound(entries_.begin(), entries_.end(), key, KeyLess{});
+  }
 
   std::vector<value_type> entries_;
 };

@@ -1,5 +1,8 @@
 // Controller C_j of the Menasce-Muntz DDB model with the Chandy-Misra-Haas
-// probe computation of section 6 built in.
+// probe computation of section 6 built in.  A probe receipt allocates
+// nothing once the controller is warm: its state is flat (sorted vectors,
+// site-indexed arrays) and the probe path's search runs in reused scratch.
+// cmh:hot-path -- steady-state detection path; lint enforces zero-alloc.
 //
 // Responsibilities (section 6.2):
 //   * manage local resources through a LockManager,
@@ -21,13 +24,12 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
-#include <set>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
+#include "common/flat_set.h"
 #include "common/ids.h"
 #include "common/time.h"
 #include "ddb/lock_manager.h"
@@ -150,10 +152,10 @@ class Controller {
   /// of section 6.7), i.e. with a queued forwarded request.
   [[nodiscard]] std::vector<TransactionId> incoming_black_processes() const;
 
-  /// Remote sites this txn has outstanding requests toward (outgoing
-  /// inter-controller edges from (txn, this site)).
-  [[nodiscard]] std::vector<SiteId> pending_remote_sites(
-      TransactionId txn) const;
+  /// Replaces `out` with the remote sites this txn has outstanding requests
+  /// toward (outgoing inter-controller edges from (txn, this site)), in
+  /// ascending order.
+  void pending_remote_sites(TransactionId txn, std::vector<SiteId>& out) const;
 
   [[nodiscard]] const std::vector<std::pair<TransactionId, DdbProbeTag>>&
   declared_victims() const {
@@ -167,12 +169,15 @@ class Controller {
 
  private:
   struct Computation {
-    std::set<InterEdge> probes_sent;
+    std::uint64_t sequence{0};
+    FlatSet<InterEdge, 4> probes_sent;
     /// For computations this controller initiated: the process it is
     /// checking (the (T_i, S_j) of A0/A1).
     std::optional<TransactionId> target;
     bool declared{false};
   };
+
+  using TxnSet = FlatSet<TransactionId, 16>;
 
   void handle_lock_request(SiteId from, const RemoteLockRequestMsg& msg);
   void handle_grant(SiteId from, const RemoteLockGrantMsg& msg);
@@ -184,10 +189,14 @@ class Controller {
   void dispatch_grants(
       const std::vector<std::pair<ResourceId, LockRequest>>& grants);
 
-  /// Agents intra-reachable from `txn` (reflexive); sets `local_cycle` if
-  /// txn reaches itself through at least one edge.
-  [[nodiscard]] std::set<TransactionId> intra_reachable(
-      TransactionId txn, bool* local_cycle = nullptr) const;
+  /// Fills reachable_ with the agents intra-reachable from `txn`
+  /// (reflexive); returns true iff txn reaches itself through at least one
+  /// edge (a local cycle).
+  bool intra_reachable(TransactionId txn);
+
+  /// The computation `tag`, created (in sequence order) if absent.  The
+  /// reference is invalidated by the next creation for the same initiator.
+  Computation& computation(const DdbProbeTag& tag);
 
   /// Sends probes of `comp` along all un-probed outgoing inter edges of
   /// `processes`.  Only *currently* intra-reachable processes may be passed:
@@ -206,13 +215,15 @@ class Controller {
   /// received verbatim -- stamping a forwarder's floor would corrupt the
   /// initiator's numbering at downstream receivers.
   void send_probes(const DdbProbeTag& tag, std::uint64_t floor,
-                   Computation& comp,
-                   const std::set<TransactionId>& processes,
-                   std::optional<TransactionId> skip_release_wait_for =
-                       std::nullopt);
+                   Computation& comp, const TxnSet& processes,
+                   TransactionId skip_release_wait_for);
 
   /// Sends `msg` to every other site.
   void broadcast_purge(const PurgeTxnMsg& msg);
+
+  /// Drops txn's outgoing edges, remote holdings and own computation entry
+  /// (commit, abort, purge).
+  void forget(TransactionId txn);
 
   void declare(TransactionId victim, const DdbProbeTag& tag);
   void schedule_block_check(TransactionId txn);
@@ -234,26 +245,39 @@ class Controller {
   // Transactions known to be aborted.  A purge broadcast can overtake a
   // victim's in-flight lock request on a different channel; without the
   // tombstone the zombie request would occupy the resource forever.
-  // Transaction ids are never reused, so tombstones are monotone-correct.
+  // Transaction ids are never reused, so tombstones are monotone-correct,
+  // but the set grows for the controller's lifetime, one node per abort.
+  // lint:allow(hot-path-alloc) -- until ROADMAP item 7 bounds it
   std::unordered_set<TransactionId> aborted_txns_;
-  // pending_remote_[txn][site] = outstanding (unanswered) remote requests.
-  std::unordered_map<TransactionId,
-                     std::unordered_map<SiteId, std::uint32_t>>
-      pending_remote_;
-  // Sites where txn holds resources acquired through this controller --
-  // i.e. this site's agents have *incoming* release-wait edges from those
-  // holdings.  Feeds the section-6.7 Q set.
-  std::unordered_map<TransactionId, std::set<SiteId>> remote_holdings_;
+  // pending_remote_[(txn, site)] = outstanding (unanswered) remote requests
+  // of (txn, here) to agent (txn, site); ordered by txn, then site.
+  FlatMap<AgentId, std::uint32_t> pending_remote_;
+  // Agents (txn, site) holding resources acquired through this controller
+  // -- i.e. this site's agents have *incoming* release-wait edges from
+  // those holdings.  Feeds the section-6.7 Q set.
+  FlatSet<AgentId, 16> remote_holdings_;
 
   std::uint64_t next_sequence_{0};
   // Latest own computation per target process; the minimum over live
   // entries is the `floor` advertised in outgoing probes.
-  std::unordered_map<TransactionId, std::uint64_t> own_comp_seq_;
-  std::map<DdbProbeTag, Computation> computations_;
-  // Highest floor seen per initiator; probes below it are stale (§4.3).
-  std::unordered_map<SiteId, std::uint64_t> floor_seen_;
+  FlatMap<TransactionId, std::uint64_t> own_comp_seq_;
+  // computations_[i]: live computations initiated by site i, ascending by
+  // sequence.  A new sequence appends; a floor advance erases a prefix.
+  std::vector<std::vector<Computation>> computations_;
+  // floor_seen_[i]: highest floor seen from initiator i (0: none); probes
+  // below it are stale (§4.3).
+  std::vector<std::uint64_t> floor_seen_;
 
   std::vector<std::pair<TransactionId, DdbProbeTag>> declared_;
+
+  // Scratch of the probe path, reused so a warm probe receipt allocates
+  // nothing.  None is live across a callback: on_grant_, on_abort_ and
+  // on_deadlock_ may re-enter lock(), which under kOnBlock reaches
+  // initiate_for() and refills them.
+  TxnSet reachable_;
+  std::vector<TransactionId> frontier_;
+  std::vector<TransactionId> targets_;
+  std::vector<SiteId> sites_;
 
   GrantCallback on_grant_;
   AbortCallback on_abort_;

@@ -1,8 +1,24 @@
 #include "ddb/lock_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace cmh::ddb {
+
+const LockManager::Holder* LockManager::ResourceState::holder(
+    TransactionId txn) const {
+  const auto it = std::find_if(holders.begin(), holders.end(),
+                               [&](const Holder& h) { return h.txn == txn; });
+  return it == holders.end() ? nullptr : it;
+}
+
+LockManager::Holder* LockManager::ResourceState::holder(TransactionId txn) {
+  return const_cast<Holder*>(std::as_const(*this).holder(txn));
+}
+
+bool LockManager::ResourceState::erase_holder(TransactionId txn) {
+  return holders.erase_if([&](const Holder& h) { return h.txn == txn; }) > 0;
+}
 
 bool LockManager::grantable(const ResourceState& rs, const LockRequest& req,
                             std::size_t pos) {
@@ -22,15 +38,14 @@ AcquireResult LockManager::acquire(ResourceId resource, TransactionId txn,
                                    LockMode mode, SiteId origin) {
   ResourceState& rs = resources_[resource];
 
-  const auto held = rs.holders.find(txn);
-  if (held != rs.holders.end()) {
-    if (held->second.mode == LockMode::kWrite || mode == LockMode::kRead) {
+  if (Holder* held = rs.holder(txn)) {
+    if (held->holding.mode == LockMode::kWrite || mode == LockMode::kRead) {
       return AcquireResult::kRedundant;
     }
     // Upgrade read -> write: in place iff sole holder.  The original
     // acquisition's origin is kept.
     if (rs.holders.size() == 1) {
-      held->second.mode = LockMode::kWrite;
+      held->holding.mode = LockMode::kWrite;
       return AcquireResult::kGranted;
     }
     rs.queue.push_back(LockRequest{txn, mode, origin});
@@ -40,7 +55,7 @@ AcquireResult LockManager::acquire(ResourceId resource, TransactionId txn,
 
   const LockRequest req{txn, mode, origin};
   if (grantable(rs, req, rs.queue.size())) {
-    rs.holders.emplace(txn, Holding{mode, origin});
+    rs.holders.push_back(Holder{txn, Holding{mode, origin}});
     by_txn_[txn].held.insert(resource);
     return AcquireResult::kGranted;
   }
@@ -58,11 +73,12 @@ std::vector<LockRequest> LockManager::grant_eligible(ResourceId resource,
     for (std::size_t i = 0; i < rs.queue.size(); ++i) {
       const LockRequest req = rs.queue[i];
       if (!grantable(rs, req, i)) continue;
-      rs.queue.erase(rs.queue.begin() + static_cast<std::ptrdiff_t>(i));
-      auto [it, inserted] =
-          rs.holders.emplace(req.txn, Holding{req.mode, req.origin});
-      if (!inserted && req.mode == LockMode::kWrite) {
-        it->second.mode = LockMode::kWrite;  // queued upgrade completes
+      rs.queue.erase(rs.queue.begin() + i);
+      if (Holder* held = rs.holder(req.txn)) {
+        // A queued upgrade completes.
+        if (req.mode == LockMode::kWrite) held->holding.mode = LockMode::kWrite;
+      } else {
+        rs.holders.push_back(Holder{req.txn, Holding{req.mode, req.origin}});
       }
       // The entry stays non-empty: req.txn now holds `resource`.
       TxnIndex& index = by_txn_[req.txn];
@@ -84,7 +100,7 @@ std::vector<LockRequest> LockManager::release(ResourceId resource,
   const auto it = resources_.find(resource);
   if (it == resources_.end()) return {};
   ResourceState& rs = it->second;
-  if (rs.holders.erase(txn) == 0) return {};
+  if (!rs.erase_holder(txn)) return {};
   const auto index = by_txn_.find(txn);
   if (index != by_txn_.end()) {
     index->second.held.erase(resource);
@@ -107,14 +123,11 @@ std::vector<std::pair<ResourceId, LockRequest>> LockManager::abort(
   // Walk every resource rather than txn's index: the walk order is the
   // order of the returned grants, which callers turn into messages.
   for (auto& [resource, rs] : resources_) {
-    const bool held = rs.holders.erase(txn) > 0;
-    const auto old_size = rs.queue.size();
-    rs.queue.erase(std::remove_if(rs.queue.begin(), rs.queue.end(),
-                                  [&](const LockRequest& r) {
-                                    return r.txn == txn;
-                                  }),
-                   rs.queue.end());
-    if (held || rs.queue.size() != old_size) {
+    const bool held = rs.erase_holder(txn);
+    const bool queued = rs.queue.erase_if([&](const LockRequest& r) {
+                          return r.txn == txn;
+                        }) > 0;
+    if (held || queued) {
       for (LockRequest& g : grant_eligible(resource, rs)) {
         granted.emplace_back(resource, std::move(g));
       }
@@ -127,16 +140,16 @@ std::vector<std::pair<ResourceId, LockRequest>> LockManager::abort(
 
 bool LockManager::holds(ResourceId resource, TransactionId txn) const {
   const auto it = resources_.find(resource);
-  return it != resources_.end() && it->second.holders.contains(txn);
+  return it != resources_.end() && it->second.holder(txn) != nullptr;
 }
 
 std::optional<LockMode> LockManager::held_mode(ResourceId resource,
                                                TransactionId txn) const {
   const auto it = resources_.find(resource);
   if (it == resources_.end()) return std::nullopt;
-  const auto jt = it->second.holders.find(txn);
-  if (jt == it->second.holders.end()) return std::nullopt;
-  return jt->second.mode;
+  const Holder* held = it->second.holder(txn);
+  if (held == nullptr) return std::nullopt;
+  return held->holding.mode;
 }
 
 bool LockManager::waiting(ResourceId resource, TransactionId txn) const {
@@ -209,26 +222,25 @@ std::vector<std::pair<TransactionId, TransactionId>> LockManager::wait_edges()
   return edges;
 }
 
-std::vector<SiteId> LockManager::holding_origins(TransactionId txn) const {
+void LockManager::holding_origins(TransactionId txn,
+                                  std::vector<SiteId>& out) const {
+  out.clear();
   const auto it = by_txn_.find(txn);
-  if (it == by_txn_.end()) return {};
-  // Sorted flat set: the origin count is tiny (bounded by the site count a
-  // transaction touched), so contiguous storage beats a node-based set.
-  FlatSet<SiteId, 8> origins;
+  if (it == by_txn_.end()) return;
   for (const ResourceId r : it->second.held) {
-    origins.insert(resources_.at(r).holders.at(txn).origin);
+    out.push_back(resources_.at(r).holder(txn)->holding.origin);
   }
-  return {origins.begin(), origins.end()};
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-std::vector<std::pair<ResourceId, LockRequest>> LockManager::queued_for(
-    TransactionId txn) const {
-  std::vector<std::pair<ResourceId, LockRequest>> result;
-  for_each_queued(txn, [&](ResourceId r, const ResourceState& rs,
+bool LockManager::queued_from(TransactionId txn, SiteId origin) const {
+  bool found = false;
+  for_each_queued(txn, [&](ResourceId, const ResourceState& rs,
                            std::size_t pos) {
-    result.emplace_back(r, rs.queue[pos]);
+    found = found || rs.queue[pos].origin == origin;
   });
-  return result;
+  return found;
 }
 
 std::vector<std::pair<ResourceId, LockRequest>> LockManager::queued_requests()
@@ -282,10 +294,9 @@ void LockManager::mix_state_hash(std::uint64_t& h) const {
   for (const ResourceId id : ids) {
     const ResourceState& rs = resources_.at(id);
     mix(id.value());
-    std::vector<std::pair<TransactionId, Holding>> holders(
-        rs.holders.begin(), rs.holders.end());
+    std::vector<Holder> holders(rs.holders.begin(), rs.holders.end());
     std::sort(holders.begin(), holders.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+              [](const Holder& a, const Holder& b) { return a.txn < b.txn; });
     for (const auto& [txn, holding] : holders) {
       mix(txn.value());
       mix(static_cast<std::uint64_t>(holding.mode));

@@ -15,10 +15,11 @@
 // to the per-resource state, so the per-transaction queries the controller
 // asks on every probe -- is txn queued, whom does it wait for, where do its
 // holdings come from -- touch only that transaction's queues, never the
-// whole resource table.
+// whole resource table.  Those queries write into caller storage and
+// allocate nothing; a resource's holders and queue live inline in its
+// entry.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -26,6 +27,7 @@
 
 #include "common/flat_set.h"
 #include "common/ids.h"
+#include "common/small_vector.h"
 #include "common/status.h"
 #include "ddb/types.h"
 
@@ -89,19 +91,19 @@ class LockManager {
   /// duplicates.  Touches only the queues txn is on.
   void wait_targets(TransactionId txn, std::vector<TransactionId>& out) const;
 
-  /// Origin sites of txn's local holdings (deduplicated, sorted) -- the
-  /// targets of its outgoing release-wait edges.
-  [[nodiscard]] std::vector<SiteId> holding_origins(TransactionId txn) const;
+  /// Replaces `out` with the origin sites of txn's local holdings
+  /// (deduplicated, sorted) -- the targets of its outgoing release-wait
+  /// edges.
+  void holding_origins(TransactionId txn, std::vector<SiteId>& out) const;
 
   /// The local waits-for relation: pairs (waiter, blocker) over
   /// transactions, derived from every queue (section 6.4 intra edges).
   [[nodiscard]] std::vector<std::pair<TransactionId, TransactionId>>
   wait_edges() const;
 
-  /// Pending (queued) requests for a given transaction, with resources
-  /// (in no particular order).
-  [[nodiscard]] std::vector<std::pair<ResourceId, LockRequest>> queued_for(
-      TransactionId txn) const;
+  /// True iff txn has a queued request forwarded from `origin` -- the
+  /// black acquisition edge ((txn, origin), (txn, here)).
+  [[nodiscard]] bool queued_from(TransactionId txn, SiteId origin) const;
 
   /// Every pending (queued) request across all resources.
   [[nodiscard]] std::vector<std::pair<ResourceId, LockRequest>>
@@ -126,10 +128,22 @@ class LockManager {
   void mix_state_hash(std::uint64_t& h) const;
 
  private:
+  struct Holder {
+    TransactionId txn;
+    Holding holding;
+  };
+
   struct ResourceState {
-    // Holders: transaction -> holding.  Multiple readers, or one writer.
-    std::unordered_map<TransactionId, Holding> holders;
-    std::deque<LockRequest> queue;
+    // Multiple readers, or one writer, in grant order (nothing depends on
+    // that order).  Inline storage: a resource has a handful of holders and
+    // waiters, and a fresh entry allocates nothing beyond its map node.
+    SmallVector<Holder, 2> holders;
+    SmallVector<LockRequest, 4> queue;  // FIFO
+
+    [[nodiscard]] const Holder* holder(TransactionId txn) const;
+    [[nodiscard]] Holder* holder(TransactionId txn);
+    /// Removes txn's holding; returns false if txn held nothing here.
+    bool erase_holder(TransactionId txn);
   };
 
   /// True iff `req` (at queue position `pos`) can be granted now.

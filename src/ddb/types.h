@@ -3,7 +3,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <ostream>
 
 #include "common/ids.h"
@@ -50,23 +49,3 @@ struct InterEdge {
 };
 
 }  // namespace cmh::ddb
-
-namespace std {
-
-template <>
-struct hash<cmh::ddb::DdbProbeTag> {
-  size_t operator()(const cmh::ddb::DdbProbeTag& t) const noexcept {
-    return cmh::hash_combine(std::hash<cmh::SiteId>{}(t.initiator),
-                             std::hash<std::uint64_t>{}(t.sequence));
-  }
-};
-
-template <>
-struct hash<cmh::ddb::InterEdge> {
-  size_t operator()(const cmh::ddb::InterEdge& e) const noexcept {
-    return cmh::hash_combine(std::hash<cmh::AgentId>{}(e.from),
-                             std::hash<cmh::AgentId>{}(e.to));
-  }
-};
-
-}  // namespace std

@@ -1,7 +1,7 @@
 // Allocation accounting for the steady-state hot paths.  The contract: once
-// warmed up, probe encode/handle/forward at a process, WFGD encoding into a
-// reused scratch buffer and message traffic through the simulator perform
-// ZERO heap allocations.
+// warmed up, probe encode/handle/forward at a process and at a DDB
+// controller, WFGD encoding into a reused scratch buffer and message traffic
+// through the simulator perform ZERO heap allocations.
 // A counting global operator new makes that an assertable property instead
 // of a benchmark anecdote.  (The override is binary-wide but only counts;
 // it delegates to malloc/free.)
@@ -14,6 +14,7 @@
 
 #include "core/basic_process.h"
 #include "core/messages.h"
+#include "ddb/controller.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -198,3 +199,91 @@ TEST(ZeroAlloc, SteadyStateSimulatorTrafficBeyond1024Nodes) {
 
 }  // namespace
 }  // namespace cmh::core
+
+namespace cmh::ddb {
+namespace {
+
+TEST(ZeroAlloc, DdbProbeReceiveForwardDeclare) {
+  // Controller S0 of three.  Resource r lives at site r % 3.
+  //   D (home S0) holds r3 and awaits a grant for r1 from S1;
+  //   A (home S1) holds r0 on behalf of (A, S1) and queues on r3 behind D;
+  //   B (home S2) queues on r0 behind A.
+  // A probe entering (B, S0) from S2 reaches {B, A, D} and forwards twice:
+  // along A's release-wait edge and along D's acquisition edge, both to S1.
+  DdbOptions options;
+  options.initiation = DdbInitiation::kManual;
+  options.abort_victim = false;
+  std::uint64_t sink = 0;
+  std::size_t declarations = 0;
+  Controller c(
+      SiteId{0}, 3, [&sink](SiteId, BytesView b) { sink += b.size(); },
+      [](ResourceId r) { return SiteId{r.value() % 3}; }, options, TimerFn{});
+  c.set_deadlock_callback(
+      [&declarations](TransactionId, const DdbProbeTag&) { ++declarations; });
+  const TransactionId a{1}, b{2}, d{4};
+  const auto request = [&](SiteId from, TransactionId t, ResourceId r) {
+    return c.on_message(
+        from, encode(RemoteLockRequestMsg{t, r, LockMode::kWrite}).view());
+  };
+  ASSERT_TRUE(c.lock(d, ResourceId{3}, LockMode::kWrite));
+  ASSERT_FALSE(c.lock(d, ResourceId{1}, LockMode::kWrite));
+  ASSERT_TRUE(request(SiteId{1}, a, ResourceId{0}).ok());
+  ASSERT_TRUE(request(SiteId{1}, a, ResourceId{3}).ok());
+  ASSERT_TRUE(request(SiteId{2}, b, ResourceId{0}).ok());
+  ASSERT_TRUE(c.locks().holds(ResourceId{0}, a));
+  ASSERT_TRUE(c.blocked(a) && c.blocked(b) && c.blocked(d));
+
+  // One round: kProbes meaningful probes of S2's computations, each with a
+  // fresh sequence and a floor that prunes older ones, then one own
+  // computation for B that a returning probe declares.
+  constexpr std::uint64_t kProbes = 8;
+  std::uint64_t foreign = 0;
+  const InterEdge entry{AgentId{b, SiteId{2}}, AgentId{b, SiteId{0}}};
+  const auto round = [&] {
+    bool ok = true;
+    for (std::uint64_t i = 0; i < kProbes; ++i) {
+      ++foreign;
+      const DdbProbeTag tag{SiteId{2}, foreign};
+      const std::uint64_t floor = foreign > 4 ? foreign - 4 : 1;
+      ok &= c.on_message(SiteId{2},
+                         encode(DdbProbeMsg{tag, floor, entry, false}).view())
+                .ok();
+    }
+    const std::optional<DdbProbeTag> own = c.initiate_for(b);
+    if (!own) return false;
+    return ok && c.on_message(SiteId{2},
+                              encode(DdbProbeMsg{*own, own->sequence, entry,
+                                                 false})
+                                  .view())
+                     .ok();
+  };
+
+  // Warm-up: computation vectors, scratch and the declaration log reach
+  // their working-set capacity.
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(round());
+  constexpr std::size_t kRounds = 20;
+  ASSERT_GE(c.declared_victims().capacity() - c.declared_victims().size(),
+            kRounds);
+  const ControllerStats warm = c.stats();
+
+  // Measured phase.  (No gtest macros inside: their success paths may
+  // allocate.)
+  const std::size_t before = g_alloc_count;
+  bool all_ok = true;
+  for (std::size_t i = 0; i < kRounds; ++i) all_ok &= round();
+  const std::size_t allocations = g_alloc_count - before;
+
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(allocations, 0u);
+  // Every probe was meaningful; each of S2's forwarded along both edges,
+  // each own computation sent its two probes and was declared.
+  EXPECT_EQ(c.stats().meaningful_probes - warm.meaningful_probes,
+            kRounds * (kProbes + 1));
+  EXPECT_EQ(c.stats().probes_sent - warm.probes_sent,
+            kRounds * (2 * kProbes + 2));
+  EXPECT_EQ(declarations, 100u + kRounds);
+  EXPECT_GT(sink, 0u);
+}
+
+}  // namespace
+}  // namespace cmh::ddb

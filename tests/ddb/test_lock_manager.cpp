@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <tuple>
 
 #include "common/rng.h"
 
@@ -222,10 +221,9 @@ TEST(LockManager, QueuedForTracksOrigin) {
             AcquireResult::kGranted);
   ASSERT_EQ(lm.acquire(r1, t2, LockMode::kWrite, other),
             AcquireResult::kQueued);
-  const auto queued = lm.queued_for(t2);
-  ASSERT_EQ(queued.size(), 1u);
-  EXPECT_EQ(queued[0].first, r1);
-  EXPECT_EQ(queued[0].second.origin, other);
+  EXPECT_TRUE(lm.queued_from(t2, other));
+  EXPECT_FALSE(lm.queued_from(t2, here));
+  EXPECT_FALSE(lm.queued_from(t1, other));  // t1 holds, queues nothing
 }
 
 TEST(LockManager, QueueDepth) {
@@ -318,23 +316,22 @@ class LockIndexProperty {
       }
       EXPECT_EQ(lm_.has_queued(t), queued_anywhere);
       EXPECT_EQ(lm_.held_by(t), held);
-      EXPECT_EQ(lm_.holding_origins(t),
+      // Written into caller storage, replacing what was there.
+      std::vector<SiteId> got_origins{SiteId{99}};
+      lm_.holding_origins(t, got_origins);
+      EXPECT_EQ(got_origins,
                 std::vector<SiteId>(origins.begin(), origins.end()));
 
-      // queued_for == the txn's slice of queued_requests(), as multisets.
-      using Entry = std::tuple<ResourceId, LockMode, SiteId>;
-      std::vector<Entry> want;
-      for (const auto& [r, req] : all_queued) {
-        if (req.txn == t) want.emplace_back(r, req.mode, req.origin);
+      // queued_from(t, s) == some request in the txn's slice of
+      // queued_requests() came from s.
+      for (std::uint32_t si = 0; si < kSites; ++si) {
+        const SiteId s{si};
+        const bool want = std::any_of(
+            all_queued.begin(), all_queued.end(), [&](const auto& entry) {
+              return entry.second.txn == t && entry.second.origin == s;
+            });
+        EXPECT_EQ(lm_.queued_from(t, s), want) << "origin " << si;
       }
-      std::vector<Entry> got;
-      for (const auto& [r, req] : lm_.queued_for(t)) {
-        EXPECT_EQ(req.txn, t);
-        got.emplace_back(r, req.mode, req.origin);
-      }
-      std::sort(want.begin(), want.end());
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, want);
 
       // wait_targets == t's out-neighbours in wait_edges().
       std::set<TransactionId> want_targets;

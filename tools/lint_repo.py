@@ -10,9 +10,11 @@ Rules (each can be silenced on a single line with `// lint:allow(<rule>)`):
                       allows.
   hot-path-alloc      files tagged `// cmh:hot-path` near the top must not
                       heap-allocate (new / make_unique / make_shared /
-                      malloc) nor use std::unordered_{map,set} -- the
-                      steady-state detection path is zero-alloc and
-                      cache-friendly by design (see DESIGN.md).
+                      malloc) nor use std::unordered_{map,set} or the
+                      node-based std::{set,map,multiset,multimap,list},
+                      which allocate per element -- the steady-state
+                      detection path is zero-alloc and cache-friendly by
+                      design (see DESIGN.md).
   transport-bytesview transport send surfaces take BytesView, never
                       `const Bytes&`: senders must accept stack frames
                       without forcing a heap copy at the boundary.
@@ -49,6 +51,7 @@ ALLOC_RE = re.compile(
     r"\bnew\b|\bstd::make_unique\b|\bstd::make_shared\b|\bmalloc\s*\("
 )
 UNORDERED_RE = re.compile(r"\bstd::unordered_(map|set)\b")
+NODE_BASED_RE = re.compile(r"\bstd::(set|map|multiset|multimap|list)\b")
 REINTERPRET_RE = re.compile(r"\breinterpret_cast\b")
 # A declaration line of a send-like function taking a borrowed Bytes:
 # matches `send(`, `send_frame(` etc. followed (same line) by `const Bytes&`.
@@ -159,6 +162,12 @@ class Linter:
                     self.report(path, i, "hot-path-alloc",
                                 "std::unordered_{map,set} in a cmh:hot-path "
                                 "file (use FlatSet / sorted vectors)",
+                                raw_line, prev)
+                if NODE_BASED_RE.search(code_line):
+                    self.report(path, i, "hot-path-alloc",
+                                "node-based std::{set,map,multiset,multimap,"
+                                "list} in a cmh:hot-path file (use FlatSet / "
+                                "FlatMap / SmallVector)",
                                 raw_line, prev)
             if path.suffix == ".h" and SEND_BYTES_RE.search(code_line):
                 self.report(path, i, "transport-bytesview",
